@@ -583,9 +583,10 @@ let e10 () =
 (* E11 — fault-injection overhead and degradation on the grid workload. *)
 
 (* The resilient runner must be free when faults are off: with an empty
-   plan it takes the pristine extraction fast path, so its simulate
-   time on the torus-echo workload (the engine-bound E-series grid
-   case) must stay within 5% of [Local.Runner.run]. With faults on,
+   plan it runs the per-node function [Local.Runner.run] runs, plus a
+   crash-table load per node, so its simulate time on the torus-echo
+   workload (the engine-bound E-series grid case) must stay within 5%
+   of [Local.Runner.run]. With faults on,
    the run degrades instead of crashing — the table shows the
    degradation profile, and the JSON line is the machine-readable
    point recorded in BENCH_FAULT.json across revisions. *)

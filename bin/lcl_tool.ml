@@ -123,8 +123,17 @@ let eliminate_cmd =
 let n_arg = Arg.(value & opt int 64 & info [ "n" ] ~doc:"Graph size.")
 
 let algo_arg =
-  let doc = "Algorithm: cv-coloring, mis, matching, luby." in
+  let doc = "Algorithm: " ^ String.concat ", " Local.Baselines.names ^ "." in
   Arg.(value & opt string "cv-coloring" & info [ "algo" ] ~doc)
+
+(* Every subcommand resolves LOCAL algorithm names in the one table
+   [Serve.Engine] uses too; an unknown name is a usage error. *)
+let local_algo ~cmd algo_name =
+  match Local.Baselines.find algo_name with
+  | Some entry -> entry
+  | None ->
+    Fmt.epr "%s: unknown algorithm %s@." cmd algo_name;
+    exit 2
 
 let check_n ~cmd n =
   if n < 3 then begin
@@ -143,19 +152,8 @@ let workers_arg =
 let simulate_cmd =
   let run n algo_name workers () =
     check_n ~cmd:"simulate" n;
+    let algo, problem = local_algo ~cmd:"simulate" algo_name in
     let g = Graph.Builder.oriented_cycle n in
-    let algo, problem =
-      match algo_name with
-      | "cv-coloring" ->
-        (Local.Cole_vishkin.three_coloring, Lcl.Zoo.coloring ~k:3 ~delta:2)
-      | "mis" -> (Local.Mis.algorithm, Lcl.Zoo.mis ~delta:2)
-      | "matching" ->
-        (Local.Matching.algorithm, Lcl.Zoo.maximal_matching ~delta:2)
-      | "luby" -> (Local.Luby.algorithm, Lcl.Zoo.mis ~delta:2)
-      | other ->
-        Fmt.epr "unknown algorithm %s@." other;
-        exit 1
-    in
     let o = Local.Runner.run ?workers ~problem algo g in
     Fmt.pr "%s on oriented C_%d: radius %d, violations %d@." algo_name n
       o.Local.Runner.radius_used
@@ -171,29 +169,33 @@ let volume_algo_arg =
   let doc = "Probe algorithm: cv-coloring, walker, const." in
   Arg.(value & opt string "cv-coloring" & info [ "algo" ] ~doc)
 
+(* The VOLUME workloads by probe algorithm [key]: the algorithm, its
+   problem and the cycle it runs on (the walker's is even). [name] is
+   what the user typed, for the usage error. *)
+let volume_workload ~name key n =
+  match key with
+  | "cv-coloring" ->
+    ( Volume.Algorithms.cv_coloring,
+      Lcl.Zoo_oriented.coloring ~k:3,
+      Lcl.Zoo_oriented.mark_orientation_inputs (Graph.Builder.oriented_cycle n)
+    )
+  | "walker" ->
+    ( Volume.Algorithms.two_coloring_walker,
+      Lcl.Zoo_oriented.coloring ~k:2,
+      Lcl.Zoo_oriented.mark_orientation_inputs
+        (Graph.Builder.oriented_cycle (2 * ((n + 1) / 2))) )
+  | "const" ->
+    ( Volume.Algorithms.constant_choice ~name:"const" 0,
+      Lcl.Zoo.free_choice ~delta:2,
+      Graph.Builder.cycle n )
+  | _ ->
+    Fmt.epr "unknown probe algorithm %s@." name;
+    exit 2
+
 let volume_cmd =
   let run n algo_name workers () =
     check_n ~cmd:"volume" n;
-    let algo, problem, g =
-      match algo_name with
-      | "cv-coloring" ->
-        ( Volume.Algorithms.cv_coloring,
-          Lcl.Zoo_oriented.coloring ~k:3,
-          Lcl.Zoo_oriented.mark_orientation_inputs
-            (Graph.Builder.oriented_cycle n) )
-      | "walker" ->
-        ( Volume.Algorithms.two_coloring_walker,
-          Lcl.Zoo_oriented.coloring ~k:2,
-          Lcl.Zoo_oriented.mark_orientation_inputs
-            (Graph.Builder.oriented_cycle (2 * ((n + 1) / 2))) )
-      | "const" ->
-        ( Volume.Algorithms.constant_choice ~name:"const" 0,
-          Lcl.Zoo.free_choice ~delta:2,
-          Graph.Builder.cycle n )
-      | other ->
-        Fmt.epr "unknown probe algorithm %s@." other;
-        exit 1
-    in
+    let algo, problem, g = volume_workload ~name:algo_name algo_name n in
     let o = Volume.Probe.run ?workers ~problem algo g in
     Fmt.pr "%s on C_%d: max probes %d, total %d, violations %d@." algo_name
       (Graph.n g) o.Volume.Probe.max_probes o.Volume.Probe.total_probes
@@ -281,15 +283,8 @@ let sanitize_cmd =
   let run n algo_name order () =
     check_n ~cmd:"sanitize" n;
     let algo =
-      match algo_name with
-      | "cv-coloring" -> Local.Cole_vishkin.three_coloring
-      | "mis" -> Local.Mis.algorithm
-      | "matching" -> Local.Matching.algorithm
-      | "luby" -> Local.Luby.algorithm
-      | "radius-cheater" -> Analysis.Sanitizer.radius_cheater
-      | other ->
-        Fmt.epr "unknown algorithm %s@." other;
-        exit 2
+      if algo_name = "radius-cheater" then Analysis.Sanitizer.radius_cheater
+      else fst (local_algo ~cmd:"sanitize" algo_name)
     in
     let g = Graph.Builder.oriented_cycle n in
     let r =
@@ -395,17 +390,6 @@ let classify_cmd =
 
 (* -- trace --------------------------------------------------------------- *)
 
-let resolve_local_algo ~cmd algo_name =
-  match algo_name with
-  | "cv-coloring" ->
-    (Local.Cole_vishkin.three_coloring, Lcl.Zoo.coloring ~k:3 ~delta:2)
-  | "mis" -> (Local.Mis.algorithm, Lcl.Zoo.mis ~delta:2)
-  | "matching" -> (Local.Matching.algorithm, Lcl.Zoo.maximal_matching ~delta:2)
-  | "luby" -> (Local.Luby.algorithm, Lcl.Zoo.mis ~delta:2)
-  | other ->
-    Fmt.epr "%s: unknown algorithm %s@." cmd other;
-    exit 2
-
 let trace_cmd =
   let out_arg =
     Arg.(
@@ -457,7 +441,7 @@ let trace_cmd =
             r.Relim.Pipeline.verdict)
         spec
     | None ->
-      let algo, problem = resolve_local_algo ~cmd:"trace" algo_name in
+      let algo, problem = local_algo ~cmd:"trace" algo_name in
       let g = Graph.Builder.oriented_cycle n in
       let o = Local.Runner.run ~seed ?domains ~memo ~problem algo g in
       Fmt.pr "%s on oriented C_%d: radius %d, violations %d@." algo_name n
@@ -639,46 +623,31 @@ let faultsim_cmd =
     | Error e -> fail_error e
     | Ok plan -> k plan
   in
-  let run_local ~algo_name ~n ~plan ~retries ~seed ~workers =
-    let algo, problem = resolve_local_algo ~cmd:"faultsim" algo_name in
-    let g = Graph.Builder.oriented_cycle n in
-    match
-      Local.Runner.run_resilient ~seed ?workers ~plan ~retries ~problem algo g
-    with
+  let print_report = function
     | Error e -> fail_error e
-    | Ok o ->
-      print_endline
-        (Fault.Json.to_string (faultsim_local_report ~algo_name ~n o))
+    | Ok json -> print_endline (Fault.Json.to_string json)
   in
-  let run_volume ~algo_name ~n ~plan ~retries ~seed ~workers =
-    let algo, problem, g =
-      match algo_name with
-      | "probe-cv-coloring" ->
-        ( Volume.Algorithms.cv_coloring,
-          Lcl.Zoo_oriented.coloring ~k:3,
-          Lcl.Zoo_oriented.mark_orientation_inputs
-            (Graph.Builder.oriented_cycle n) )
-      | "probe-walker" ->
-        ( Volume.Algorithms.two_coloring_walker,
-          Lcl.Zoo_oriented.coloring ~k:2,
-          Lcl.Zoo_oriented.mark_orientation_inputs
-            (Graph.Builder.oriented_cycle (2 * ((n + 1) / 2))) )
-      | "probe-const" ->
-        ( Volume.Algorithms.constant_choice ~name:"const" 0,
-          Lcl.Zoo.free_choice ~delta:2,
-          Graph.Builder.cycle n )
-      | other ->
-        Fmt.epr "unknown probe algorithm %s@." other;
-        exit 2
-    in
-    match
-      Volume.Probe.run_resilient ~seed ?workers ~plan ~retries ~problem algo g
-    with
-    | Error e -> fail_error e
-    | Ok o ->
-      print_endline
-        (Fault.Json.to_string
-           (faultsim_volume_report ~algo_name ~n:(Graph.n g) o))
+  (* the plan is drawn on the workload's own graph *)
+  let run_workload ~algo_name ~n ~retries ~seed ~workers with_plan =
+    if String.starts_with ~prefix:"probe-" algo_name then begin
+      let key = String.sub algo_name 6 (String.length algo_name - 6) in
+      let algo, problem, g = volume_workload ~name:algo_name key n in
+      with_plan g (fun plan ->
+          print_report
+            (Result.map
+               (faultsim_volume_report ~algo_name ~n:(Graph.n g))
+               (Volume.Probe.run_resilient ~seed ?workers ~plan ~retries
+                  ~problem algo g)))
+    end
+    else
+      let algo, problem = local_algo ~cmd:"faultsim" algo_name in
+      let g = Graph.Builder.oriented_cycle n in
+      with_plan g (fun plan ->
+          print_report
+            (Result.map
+               (faultsim_local_report ~algo_name ~n)
+               (Local.Runner.run_resilient ~seed ?workers ~plan ~retries
+                  ~problem algo g)))
   in
   let run_pipeline ~n ~plan_file ~fault_seed ~crash ~sever ~corrupt ~flip
       ~probe_loss ~retries ~deadline ~seed spec =
@@ -756,19 +725,9 @@ let faultsim_cmd =
       run_pipeline ~n ~plan_file ~fault_seed ~crash ~sever ~corrupt ~flip
         ~probe_loss ~retries ~deadline ~seed spec
     | None ->
-      let volume = String.length algo_name >= 6 && String.sub algo_name 0 6 = "probe-" in
-      let g =
-        if volume then
-          (* mirror run_volume's graph sizes for plan generation *)
-          match algo_name with
-          | "probe-walker" -> Graph.Builder.cycle (2 * ((n + 1) / 2))
-          | _ -> Graph.Builder.cycle n
-        else Graph.Builder.oriented_cycle n
-      in
-      with_plan ~plan_file ~fault_seed ~crash ~sever ~corrupt ~flip
-        ~probe_loss g (fun plan ->
-          if volume then run_volume ~algo_name ~n ~plan ~retries ~seed ~workers
-          else run_local ~algo_name ~n ~plan ~retries ~seed ~workers));
+      run_workload ~algo_name ~n ~retries ~seed ~workers
+        (with_plan ~plan_file ~fault_seed ~crash ~sever ~corrupt ~flip
+           ~probe_loss));
     obs_end metrics
   in
   Cmd.v

@@ -52,6 +52,13 @@ let rec of_exn ?node ?range exn =
   | Failure m -> v ?node ?range ~code:"F002" m
   | exn -> v ?node ?range ~code:"F002" (Printexc.to_string exn)
 
+(* What the record policy of both simulators files for a node whose
+   algorithm raised: an [E] keeps its own code (F102 for the runner's
+   arity check), anything else is F103. *)
+let of_algorithm_exn ~algo ~node = function
+  | E _ as exn -> of_exn ~node exn
+  | exn -> f ~node ~code:"F103" "%s raised: %s" algo (Printexc.to_string exn)
+
 let context e =
   match (e.node, e.range) with
   | Some v, Some (lo, hi) -> Printf.sprintf " (node %d, chunk [%d,%d))" v lo hi

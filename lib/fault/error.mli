@@ -31,6 +31,11 @@ val raise_ : t -> 'a
     to F002. *)
 val of_exn : ?node:int -> ?range:int * int -> exn -> t
 
+(** The error of node [node] whose algorithm [algo] raised [exn]: an
+    [E] keeps its own code (and gains [node] if it had no node
+    context), any other exception is F103. *)
+val of_algorithm_exn : algo:string -> node:int -> exn -> t
+
 (** ["[F101] message (node 3, chunk [0,50))"] *)
 val to_string : t -> string
 

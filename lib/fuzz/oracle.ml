@@ -168,6 +168,8 @@ let run_leg ~seed ~problem ~algo g name =
     in
     of_outcome second note
   | "resilient" -> (
+    (* the record policy under the empty plan: same core as [seq],
+       so anything but all-Ok statuses and [seq]'s outcome is a bug *)
     match
       Local.Runner.run_resilient ~seed ~domains:1 ~workers:1
         ~plan:Fault.Plan.empty ~problem algo g

@@ -15,10 +15,13 @@
     Configurations are named: ["seq"] (domains 1, workers 1, the
     reference), ["domains4"], ["workers3"], ["memo"] (two runs sharing
     a cache; the second must invoke the algorithm zero times),
-    ["resilient"] (empty fault plan), ["serve"] (a budgeted [Gap]
-    round trip through a live daemon, cold and warm, against the
-    direct [Serve.Engine.answer] text — [Gap] rather than [Classify]
-    because it carries its budgets on the wire, and the engine's
+    ["resilient"] (empty fault plan: [run] is the raise-policy
+    projection of the same core, so this leg checks that the record
+    policy changes nothing but the all-[Ok] statuses it adds),
+    ["serve"] (a budgeted [Gap] round trip through a live daemon,
+    cold and warm, against the direct [Serve.Engine.answer] text —
+    [Gap] rather than [Classify] because it carries its budgets on
+    the wire, and the engine's
     [Classify] defaults are too slow for a fuzz loop; the report's
     classify digest is computed in-process at the same budgets
     instead). The multi-domain leg runs in a forked

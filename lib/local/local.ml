@@ -13,3 +13,4 @@ module Rand_coloring = Rand_coloring
 module Sync = Sync
 module Forest = Forest
 module Shortcut = Shortcut
+module Baselines = Baselines

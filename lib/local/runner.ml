@@ -10,7 +10,13 @@
    so the labeling is bit-identical to the sequential run for any
    worker count.
 
-   [?memo] adds a canonical-view cache: each extracted ball is keyed by
+   There is one execution core, [execute]. The plain [run] and the
+   resilient [run_resilient] are projections of it that differ only in
+   the failure policy they pass: [Raise] (no plan, a failure
+   propagates, the memo may serve) or [Record] (a compiled fault plan;
+   a failure becomes a per-node status).
+
+   [?memo] adds a canonical-view cache: each node's view is keyed by
    its [Graph.Ball.fingerprint] ([order_type]-normalized structure with
    randomness erased) and the algorithm's output is reused for repeated
    views. On graphs with few distinct local views (grids, regular
@@ -89,14 +95,14 @@ let resolve_workers workers =
 (* -- cluster dispatch ---------------------------------------------------- *)
 
 (* What one worker process sends back: its rows, its slice of the
-   status array (resilient runs), its counter deltas, the memo entries
+   status array (record policy), its counter deltas, the memo entries
    it inserted (so the parent can fold them into the shared table —
    what keeps a cross-run [memo_cache] warm across the process
    boundary), and its observability collections. Pure data: this
    record crosses the process boundary via [Marshal]. *)
 type shard_payload = {
   sp_rows : int array array;
-  sp_statuses : Fault.status array;  (* [||] outside resilient runs *)
+  sp_statuses : Fault.status array;  (* [||] under the raise policy *)
   sp_hits : int;
   sp_retries : int;
   sp_memo : (int * int array * int array) list;  (* (hash, key, out) *)
@@ -155,9 +161,9 @@ let merge_shards ~cache ~hits_acc ~retries_acc shards =
   Array.iter
     (fun p ->
       (match cache with
-      | Some (_, table) ->
+      | Some c ->
         List.iter
-          (fun (h, k, v) -> Util.Keytab.add table ~hash:h k v)
+          (fun (h, k, v) -> Util.Keytab.add c.mc_tbl ~hash:h k v)
           (List.rev p.sp_memo)
       | None -> ());
       hits_acc := !hits_acc + p.sp_hits;
@@ -166,213 +172,11 @@ let merge_shards ~cache ~hits_acc ~retries_acc shards =
       Obs.Metrics.absorb p.sp_metrics)
     shards
 
-(** Run [algo] on [g] against [problem]. [n_declared] defaults to the
-    true size (Def. 2.1 gives nodes the exact n; pass a different value
-    to "fool" an algorithm, as the order-invariance speedup does).
-    [domains] selects the worker count of the parallel engine (default
-    $LCL_DOMAINS, else sequential); the labeling is identical for every
-    worker count. [memo] enables the canonical-view cache — only sound
-    for deterministic order-invariant algorithms. *)
-let run ?(seed = 0xC0FFEE) ?(ids = `Random) ?n_declared ?domains ?workers
-    ?(memo = false) ?cache ~problem (algo : Algorithm.t) g =
-  Obs.Span.with_ "runner.run" @@ fun () ->
-  let t_start = Unix.gettimeofday () in
-  let n = Graph.n g in
-  let n_declared = Option.value n_declared ~default:n in
-  let rng = Util.Prng.create ~seed in
-  let ids = assign_ids rng ids n in
-  let rand = Array.init n (fun _ -> Util.Prng.next_int64 rng) in
-  let radius = algo.Algorithm.radius ~n:n_declared in
-  let domains_used = min (resolve_domains domains) (max 1 n) in
-  let workers_used = min (resolve_workers workers) (max 1 n) in
-  let cache =
-    match cache with
-    | Some c -> Some (c.mc_lock, c.mc_tbl)
-    | None ->
-      if memo then Some (Mutex.create (), Util.Keytab.create ()) else None
-  in
-  (* so that [distinct_views] counts views added by THIS run: a shared
-     cross-run cache arrives non-empty, and re-reporting its cumulative
-     size every run used to double-count into [m_views] *)
-  let views_before =
-    match cache with None -> 0 | Some (_, table) -> Util.Keytab.length table
-  in
-  let hits = Atomic.make 0 in
-  (* sequential runs count hits in a plain cell: an atomic
-     read-modify-write per node is measurable on the memo hit path *)
-  let hits_seq = ref 0 in
-  (* memo insertions, journaled so a cluster worker can ship them back
-     to the parent table; one cons per *distinct* view, so the
-     single-process path pays nothing measurable *)
-  let journal = ref [] in
-  let check_arity v out =
-    if Array.length out <> Graph.degree g v then
-      invalid_arg
-        (Printf.sprintf "Runner.run: %s returned %d outputs at degree-%d node"
-           algo.Algorithm.name (Array.length out) (Graph.degree g v));
-    out
-  in
-  let simulate v =
-    match cache with
-    | None ->
-      (* ~reuse: each worker domain is done with a view before
-         extracting the next, so the per-domain view pool is sound *)
-      let ball, _hosts =
-        Graph.Ball.extract ~reuse:true g ~ids ~rand ~n_declared v ~radius
-      in
-      check_arity v (algo.Algorithm.run ball)
-    | Some (lock, table) -> (
-      (* probe with the key assembled straight from the BFS scratch —
-         the hit path never materializes a view, a string, or a
-         closure result; a single worker owns the table for the whole
-         parallel section, so it also skips the lock *)
-      let kv = Graph.Ball.fingerprint_view_of g ~ids ~n_declared v ~radius in
-      let found =
-        (* no closure on the sequential path — it would be a per-node
-           allocation *)
-        if domains_used = 1 then
-          Util.Keytab.find table ~hash:kv.Graph.Ball.kv_hash
-            kv.Graph.Ball.kv_words ~len:kv.Graph.Ball.kv_len
-        else
-          Mutex.protect lock (fun () ->
-              Util.Keytab.find table ~hash:kv.Graph.Ball.kv_hash
-                kv.Graph.Ball.kv_words ~len:kv.Graph.Ball.kv_len)
-      in
-      match found with
-      | Some out ->
-        if domains_used = 1 then incr hits_seq else Atomic.incr hits;
-        (* no arity check: equal keys imply equal center degree, and
-           the stored output was checked when it was inserted *)
-        Array.copy out
-      | None ->
-        (* copy the key out of the scratch before extracting or
-           invoking the algorithm — a nested fingerprint would
-           overwrite it *)
-        let hash = kv.Graph.Ball.kv_hash in
-        let key =
-          Array.sub kv.Graph.Ball.kv_words 0 kv.Graph.Ball.kv_len
-        in
-        let ball, _hosts =
-          Graph.Ball.extract ~reuse:true g ~ids ~rand ~n_declared v ~radius
-        in
-        let out = check_arity v (algo.Algorithm.run ball) in
-        (* a racing domain may insert the same view meanwhile; for the
-           deterministic algorithms the memo is sound for, both
-           computed outputs are identical, so first-writer-wins
-           (which [Keytab.add] implements) *)
-        let stored = Array.copy out in
-        let insert () =
-          Util.Keytab.add table ~hash key stored;
-          journal := (hash, key, stored) :: !journal
-        in
-        if domains_used = 1 then insert () else Mutex.protect lock insert;
-        out)
-  in
-  let cluster_hits = ref 0 in
-  let cluster_retries = ref 0 in
-  (* One worker process per contiguous node range; each child runs the
-     domain-parallel engine above on its shard (reading halo balls
-     straight out of the copy-on-write graph) and ships rows, counter
-     deltas, memo insertions and trace collections back as one frame.
-     Rank-order concatenation makes the labeling bit-identical to the
-     single-process run. A worker that dies is recovered in-process:
-     [recover] skips the child-only trace reset and accumulates its
-     effects directly in parent state. *)
-  let cluster_simulate () =
-    let shard lo hi =
-      match
-        child_obs_reset ();
-        let rows =
-          Util.Parallel.init ~domains:domains_used (hi - lo) (fun i ->
-              simulate (lo + i))
-        in
-        let events, metrics = child_obs_payload () in
-        {
-          sp_rows = rows;
-          sp_statuses = [||];
-          sp_hits = Atomic.get hits + !hits_seq;
-          sp_retries = 0;
-          sp_memo = !journal;
-          sp_events = events;
-          sp_metrics = metrics;
-        }
-      with
-      | p -> Ok p
-      | exception e -> Error (wire_exn_of e)
-    in
-    (* the recovery / no-fork path runs in the parent: effects (hit
-       counters, memo inserts) land in parent state directly, and
-       exceptions propagate raw as in the single-process engine *)
-    let recover lo hi =
-      let rows =
-        Util.Parallel.init ~domains:domains_used (hi - lo) (fun i ->
-            simulate (lo + i))
-      in
-      Ok
-        {
-          sp_rows = rows;
-          sp_statuses = [||];
-          sp_hits = 0;
-          sp_retries = 0;
-          sp_memo = [];
-          sp_events = [];
-          sp_metrics = [];
-        }
-    in
-    let shards =
-      Util.Cluster.map_ranges ~workers:workers_used ~recover ~n shard
-    in
-    Array.iter (function Error w -> reraise_wire w | Ok _ -> ()) shards;
-    let shards =
-      Array.map (function Ok p -> p | Error _ -> assert false) shards
-    in
-    merge_shards ~cache ~hits_acc:cluster_hits ~retries_acc:cluster_retries
-      shards;
-    Array.concat (Array.to_list (Array.map (fun p -> p.sp_rows) shards))
-  in
-  (* [simulate_seconds] is the documented "extraction + algorithm
-     runs" window: it brackets the parallel section, not the id/PRNG
-     derivation above *)
-  let t_sim0 = Unix.gettimeofday () in
-  let labeling =
-    Obs.Span.with_ "runner.simulate" (fun () ->
-        if workers_used <= 1 then
-          Util.Parallel.init ~domains:domains_used n simulate
-        else cluster_simulate ())
-  in
-  let t_simulated = Unix.gettimeofday () in
-  let violations =
-    Obs.Span.with_ "runner.verify" (fun () ->
-        Lcl.Verify.violations problem g labeling)
-  in
-  let t_end = Unix.gettimeofday () in
-  let stats =
-    {
-      balls_extracted = n;
-      cache_hits = Atomic.get hits + !hits_seq + !cluster_hits;
-      distinct_views =
-        (match cache with
-        | None -> 0
-        | Some (_, table) -> Util.Keytab.length table - views_before);
-      domains_used;
-      simulate_seconds = t_simulated -. t_sim0;
-      verify_seconds = t_end -. t_simulated;
-      total_seconds = t_end -. t_start;
-    }
-  in
-  Obs.Metrics.incr m_runs;
-  Obs.Metrics.add m_nodes n;
-  Obs.Metrics.add m_hits stats.cache_hits;
-  Obs.Metrics.add m_views stats.distinct_views;
-  Obs.Metrics.add m_algo (n - stats.cache_hits);
-  { labeling; violations; radius_used = radius; stats }
+(* -- the execution core -------------------------------------------------- *)
 
-(* -- resilient execution ------------------------------------------------ *)
-
-(* Running against a [Fault.Plan]: crashed nodes produce no output,
-   surviving nodes see views truncated at blocked edges, per-node
-   failures become [Errored] statuses instead of tearing the run down,
-   and the partial labeling is verified on the healthy subgraph only.
+(* Faults only restrict where the Def. 2.4 checks apply: crashed nodes
+   produce no output, surviving nodes see views truncated at blocked
+   edges, and the partial labeling is verified on the healthy subgraph.
 
    Everything stays a pure function of (graph, plan, seed): retry
    randomness is derived per (node randomness, attempt) with a
@@ -397,6 +201,18 @@ type resilient_outcome = {
   r_stats : stats;
   report : fault_report;
 }
+
+(* What a node failure does. [Raise] is [run]'s: no plan, the
+   algorithm's exception propagates and a wrong output arity is
+   [Invalid_argument]; only here may the memo serve, since it is sound
+   on fault-free views alone. [Record] carries a compiled plan:
+   crashed nodes are skipped, a raising node is re-attempted [retries]
+   times with remixed randomness and then becomes an [Errored] status
+   (F103, or F102 for a wrong arity), and verification runs on the
+   healthy subgraph. *)
+type policy =
+  | Raise of { cache : memo_cache option }
+  | Record of { plan : Fault.Inject.compiled; retries : int }
 
 (* splitmix64 finalizer: derive the attempt-[a] randomness of a node
    from its base randomness, purely and collision-resistantly. *)
@@ -431,323 +247,373 @@ let summarize_statuses applied ~severed_edges ~retries_used statuses =
     retries_used;
   }
 
-(** Run [algo] on [g] under fault [plan]. Nothing raises across the
-    parallel engine: every per-node failure is caught and becomes an
-    [Errored] status (with [retries] fresh-randomness re-attempts
-    first), crashed nodes are skipped, and the labeling is verified on
-    the healthy subgraph. Plan/graph mismatches return [Error] (F301). *)
-let run_resilient ?(seed = 0xC0FFEE) ?(ids = `Random) ?n_declared ?domains
-    ?workers ?(memo = false) ?(plan = Fault.Plan.empty) ?(retries = 0)
-    ~problem (algo : Algorithm.t) g =
-  Obs.Span.with_ "runner.run_resilient" @@ fun () ->
+(* The one LOCAL engine; the entry points are projections of it.
+   Under [Raise] it copies no ids or randomness, allocates no status
+   array and returns an empty report; its per-node loop is the memo
+   probe or extraction, the algorithm and the arity check, behind one
+   false flag and an exception handler that lets everything through. *)
+let execute ~policy ~seed ~ids ~n_declared ~domains ~workers ~problem
+    (algo : Algorithm.t) g =
   let t_start = Unix.gettimeofday () in
   let n = Graph.n g in
   let n_declared = Option.value n_declared ~default:n in
-  match Fault.Inject.compile plan g with
-  | Error e -> Error e
-  | Ok compiled ->
-    let rng = Util.Prng.create ~seed in
-    let ids = Fault.Inject.apply_ids compiled (assign_ids rng ids n) in
-    let rand =
-      Fault.Inject.apply_rand compiled
-        (Array.init n (fun _ -> Util.Prng.next_int64 rng))
+  let rng = Util.Prng.create ~seed in
+  let ids = assign_ids rng ids n in
+  let rand = Array.init n (fun _ -> Util.Prng.next_int64 rng) in
+  let ids, rand, statuses, retries, cache =
+    match policy with
+    | Raise { cache } -> (ids, rand, [||], 0, cache)
+    | Record { plan; retries } ->
+      ( Fault.Inject.apply_ids plan ids,
+        Fault.Inject.apply_rand plan rand,
+        Array.make n Fault.Ok,
+        retries,
+        None )
+  in
+  let radius = algo.Algorithm.radius ~n:n_declared in
+  let domains_used = min (resolve_domains domains) (max 1 n) in
+  let workers_used = min (resolve_workers workers) (max 1 n) in
+  (* so that [distinct_views] counts views added by THIS run: a shared
+     cross-run cache arrives non-empty, and re-reporting its cumulative
+     size every run used to double-count into [m_views] *)
+  let views_before =
+    match cache with None -> 0 | Some c -> Util.Keytab.length c.mc_tbl
+  in
+  let hits = Atomic.make 0 in
+  (* sequential runs count hits in a plain cell: an atomic
+     read-modify-write per node is measurable on the memo hit path *)
+  let hits_seq = ref 0 in
+  let retried = Atomic.make 0 in
+  (* memo insertions, journaled so a cluster worker can ship them back
+     to the parent table; one cons per *distinct* view, so the
+     single-process path pays nothing measurable *)
+  let journal = ref [] in
+  let record, crashed, blocked =
+    match policy with
+    | Raise _ -> (false, [||], None)
+    | Record { plan; _ } ->
+      ( true,
+        plan.Fault.Inject.crashed,
+        if plan.Fault.Inject.any_blocked then
+          Some (Fault.Inject.is_blocked plan)
+        else None )
+  in
+  let arity_error v k =
+    let message =
+      Printf.sprintf "%s returned %d outputs at degree-%d node"
+        algo.Algorithm.name k (Graph.degree g v)
     in
-    let radius = algo.Algorithm.radius ~n:n_declared in
-    let domains_used = min (resolve_domains domains) (max 1 n) in
-    let workers_used = min (resolve_workers workers) (max 1 n) in
-    let cache =
-      if memo then Some (Mutex.create (), Util.Keytab.create ()) else None
+    if record then
+      raise_notrace (Fault.Error.E (Fault.Error.v ~node:v ~code:"F102" message))
+    else invalid_arg ("Runner.run: " ^ message)
+  in
+  (* Attempt [a] on [ball]: the algorithm with the view's randomness
+     remixed for the attempt; a raise is re-attempted while attempts
+     remain. *)
+  let rec attempt ball a =
+    let ball_a =
+      if a = 0 then ball
+      else
+        { ball with
+          Graph.Ball.rand = Array.map (fun r -> remix r a) ball.Graph.Ball.rand }
     in
-    let hits = Atomic.make 0 in
-    let extra_attempts = Atomic.make 0 in
-    let journal = ref [] in
-    let blocked = Fault.Inject.is_blocked compiled in
-    let any_blocked = compiled.Fault.Inject.any_blocked in
-    (* direct load, not a cross-module call: this test runs per node *)
-    let crashed = compiled.Fault.Inject.crashed in
-    (* Statuses are published by side effect: workers own disjoint index
-       chunks and the join in [Util.Parallel] orders their writes before
-       any read here, so this costs one shared array instead of a
-       per-node (status, row) tuple plus two map passes. *)
-    let statuses = Array.make n Fault.Ok in
-    let arity_error v k =
-      raise_notrace
-        (Fault.Error.E
-           (Fault.Error.f ~node:v ~code:"F102"
-              "%s returned %d outputs at degree-%d node"
-              algo.Algorithm.name k (Graph.degree g v)))
-    in
-    let errored v e =
-      statuses.(v) <- Fault.Errored (Fault.Error.of_exn ~node:v e);
+    if a = retries then algo.Algorithm.run ball_a
+    else
+      match algo.Algorithm.run ball_a with
+      | out -> out
+      | exception _ ->
+        Atomic.incr retried;
+        attempt ball (a + 1)
+  in
+  (* The output at [v] from its view, or what its failure becomes.
+     Under [Raise] the crash test is one false flag and the handler
+     lets whatever was raised through. Under [Record] a crash or a
+     failure is published in [statuses] by side effect: workers own
+     disjoint index chunks and the join in [Util.Parallel] orders
+     their writes before any read, so this costs one shared array
+     instead of a per-node (status, row) tuple. The arity check stays
+     outside [attempt]'s handler: a wrong arity is a bug, not bad
+     luck, and is never retried. ~reuse: each worker domain is done
+     with a view before extracting the next, so the per-domain view
+     pool is sound. *)
+  let output v =
+    if record && crashed.(v) then begin
+      statuses.(v) <- Fault.Crashed;
       [||]
-    in
-    let invoke ~attempt ball =
-      let ball =
-        if attempt = 0 then ball
-        else
-          { ball with
-            Graph.Ball.rand =
-              Array.map (fun r -> remix r attempt) ball.Graph.Ball.rand }
-      in
-      match (cache, attempt) with
-      | Some (lock, table), 0 -> (
-        let kv = Graph.Ball.fingerprint_view ball in
-        let probe () =
-          Util.Keytab.find table ~hash:kv.Graph.Ball.kv_hash
-            kv.Graph.Ball.kv_words ~len:kv.Graph.Ball.kv_len
+    end
+    else
+      match
+        let ball =
+          match blocked with
+          | None ->
+            fst
+              (Graph.Ball.extract ~reuse:true g ~ids ~rand ~n_declared v
+                 ~radius)
+          | Some blocked ->
+            let ball, _hosts, degraded =
+              Graph.Ball.extract_restricted ~reuse:true g ~blocked ~ids ~rand
+                ~n_declared v ~radius
+            in
+            if degraded then statuses.(v) <- Fault.Starved;
+            ball
+        in
+        let out =
+          if retries = 0 then algo.Algorithm.run ball else attempt ball 0
+        in
+        if Array.length out <> Graph.degree g v then
+          arity_error v (Array.length out);
+        out
+      with
+      | out -> out
+      | exception e when record ->
+        statuses.(v) <-
+          Fault.Errored
+            (Fault.Error.of_algorithm_exn ~algo:algo.Algorithm.name ~node:v e);
+        [||]
+  in
+  (* The per-node body the engine runs: [output], behind the view memo
+     when [run] brought one. *)
+  let compute =
+    match cache with
+    | None -> output
+    | Some { mc_lock = lock; mc_tbl = table } ->
+      fun v ->
+        (* probe with the key assembled straight from the BFS scratch —
+           the hit path never materializes a view, a string, or a
+           closure result; a single worker owns the table for the whole
+           parallel section, so it also skips the lock *)
+        let kv =
+          Graph.Ball.fingerprint_view_of g ~ids ~n_declared v ~radius
         in
         let found =
-          if domains_used = 1 then probe () else Mutex.protect lock probe
+          (* no closure on the sequential path — it would be a per-node
+             allocation *)
+          if domains_used = 1 then
+            Util.Keytab.find table ~hash:kv.Graph.Ball.kv_hash
+              kv.Graph.Ball.kv_words ~len:kv.Graph.Ball.kv_len
+          else
+            Mutex.protect lock (fun () ->
+                Util.Keytab.find table ~hash:kv.Graph.Ball.kv_hash
+                  kv.Graph.Ball.kv_words ~len:kv.Graph.Ball.kv_len)
         in
         match found with
         | Some out ->
-          Atomic.incr hits;
+          if domains_used = 1 then incr hits_seq else Atomic.incr hits;
+          (* no arity check: equal keys imply equal center degree, and
+             the stored output was checked when it was inserted *)
           Array.copy out
         | None ->
+          (* copy the key out of the scratch before extracting or
+             invoking the algorithm — a nested fingerprint would
+             overwrite it *)
           let hash = kv.Graph.Ball.kv_hash in
           let key =
             Array.sub kv.Graph.Ball.kv_words 0 kv.Graph.Ball.kv_len
           in
-          let out = algo.Algorithm.run ball in
+          let out = output v in
+          (* a racing domain may insert the same view meanwhile; for the
+             deterministic algorithms the memo is sound for, both
+             computed outputs are identical, so first-writer-wins
+             (which [Keytab.add] implements) *)
           let stored = Array.copy out in
           let insert () =
             Util.Keytab.add table ~hash key stored;
             journal := (hash, key, stored) :: !journal
           in
           if domains_used = 1 then insert () else Mutex.protect lock insert;
-          out)
-      | _ -> algo.Algorithm.run ball
-    in
-    (* Pristine specialization: nothing blocked, no memo, no retries.
-       Its loop body matches [run]'s instruction for instruction (plus
-       the crash test and the exception fence), because the "faults
-       off" overhead budget of bench E11 eats any difference. *)
-    let simulate_pristine v =
-      if crashed.(v) then begin
-        statuses.(v) <- Fault.Crashed;
-        [||]
-      end
-      else
-        match
-          let ball, _hosts =
-            Graph.Ball.extract ~reuse:true g ~ids ~rand ~n_declared v ~radius
-          in
-          let out = algo.Algorithm.run ball in
-          if Array.length out <> Graph.degree g v then
-            arity_error v (Array.length out);
           out
-        with
-        | out -> out
-        | exception e -> errored v e
-    in
-    let simulate v =
-      if crashed.(v) then begin
-        statuses.(v) <- Fault.Crashed;
-        [||]
-      end
-      else
-        match
-          let ball, degraded =
-            if any_blocked then begin
-              let ball, _hosts, degraded =
-                Graph.Ball.extract_restricted ~reuse:true g ~blocked ~ids
-                  ~rand ~n_declared v ~radius
-              in
-              (ball, degraded)
-            end
-            else begin
-              let ball, _hosts =
-                Graph.Ball.extract ~reuse:true g ~ids ~rand ~n_declared v
-                  ~radius
-              in
-              (ball, false)
-            end
-          in
-          if degraded then statuses.(v) <- Fault.Starved;
-          let deg = Graph.degree g v in
-          let rec attempt a =
-            match invoke ~attempt:a ball with
-            | out when Array.length out = deg -> out
-            | out -> arity_error v (Array.length out)
-            | exception e ->
-              if a < retries then begin
-                Atomic.incr extra_attempts;
-                attempt (a + 1)
-              end
-              else raise e
-          in
-          attempt 0
-        with
-        | out -> out
-        | exception e -> errored v e
-    in
-    let body =
-      if (not any_blocked) && retries = 0 && not memo then simulate_pristine
-      else simulate
-    in
-    let cluster_hits = ref 0 in
-    let cluster_retries = ref 0 in
-    (* cluster dispatch, as in [run], plus the status slices: each
-       worker ships its [lo, hi) slice of the status array and the
-       parent blits them back — statuses are a pure per-node function
-       of (graph, plan, seed), so the merged array is identical to the
-       single-process one (the kill-worker chaos job diffs exactly
-       this) *)
-    let cluster_simulate () =
-      let shard lo hi =
-        match
-          child_obs_reset ();
-          let rows =
-            Util.Parallel.init ~domains:domains_used (hi - lo) (fun i ->
-                body (lo + i))
-          in
-          let events, metrics = child_obs_payload () in
-          {
-            sp_rows = rows;
-            sp_statuses = Array.sub statuses lo (hi - lo);
-            sp_hits = Atomic.get hits;
-            sp_retries = Atomic.get extra_attempts;
-            sp_memo = !journal;
-            sp_events = events;
-            sp_metrics = metrics;
-          }
-        with
-        | p -> Ok p
-        | exception e -> Error (wire_exn_of e)
-      in
-      let recover lo hi =
-        let rows =
-          Util.Parallel.init ~domains:domains_used (hi - lo) (fun i ->
-              body (lo + i))
-        in
-        Ok
-          {
-            sp_rows = rows;
-            sp_statuses = [||];  (* written into [statuses] in-place *)
-            sp_hits = 0;
-            sp_retries = 0;
-            sp_memo = [];
-            sp_events = [];
-            sp_metrics = [];
-          }
-      in
-      let shards =
-        Util.Cluster.map_ranges ~workers:workers_used ~recover ~n shard
-      in
-      Array.iter (function Error w -> reraise_wire w | Ok _ -> ()) shards;
-      let shards =
-        Array.map (function Ok p -> p | Error _ -> assert false) shards
-      in
-      Array.iteri
-        (fun rank p ->
-          if Array.length p.sp_statuses > 0 then begin
-            let lo, _ =
-              Util.Cluster.block_bounds ~n ~workers:workers_used rank
-            in
-            Array.blit p.sp_statuses 0 statuses lo
-              (Array.length p.sp_statuses)
-          end)
-        shards;
-      merge_shards ~cache ~hits_acc:cluster_hits
-        ~retries_acc:cluster_retries shards;
-      Array.concat (Array.to_list (Array.map (fun p -> p.sp_rows) shards))
-    in
-    (* same "extraction + algorithm runs" window as [run]'s
-       [simulate_seconds]: plan compilation and id/PRNG derivation
-       stay outside the bracket on both sides of bench E11's pairing *)
-    let t_sim0 = Unix.gettimeofday () in
-    let partial =
-      Obs.Span.with_ "runner.simulate" (fun () ->
-          if workers_used <= 1 then
-            Util.Parallel.init ~domains:domains_used n body
-          else cluster_simulate ())
-    in
-    let t_simulated = Unix.gettimeofday () in
-    let has_output v = Fault.Inject.status_ok statuses.(v) in
-    let healthy_violations =
-      Obs.Span.with_ "runner.verify" (fun () ->
-          Fault.Inject.verify_healthy compiled g ~problem ~labeling:partial
-            ~has_output)
-    in
-    let t_end = Unix.gettimeofday () in
-    let report =
-      summarize_statuses plan
-        ~severed_edges:compiled.Fault.Inject.severed_live
-        ~retries_used:(Atomic.get extra_attempts + !cluster_retries)
-        statuses
-    in
-    let r_stats =
-      {
-        balls_extracted = n - report.crashed_nodes;
-        cache_hits = Atomic.get hits + !cluster_hits;
-        distinct_views =
-          (match cache with
-          | None -> 0
-          | Some (_, table) -> Util.Keytab.length table);
-        domains_used;
-        simulate_seconds = t_simulated -. t_sim0;
-        verify_seconds = t_end -. t_simulated;
-        total_seconds = t_end -. t_start;
-      }
-    in
-    Obs.Metrics.incr m_runs;
-    Obs.Metrics.add m_nodes n;
-    Obs.Metrics.add m_hits r_stats.cache_hits;
-    Obs.Metrics.add m_views r_stats.distinct_views;
-    (* invocations = surviving nodes minus memo hits, plus re-attempts *)
-    Obs.Metrics.add m_algo
-      (n - report.crashed_nodes - r_stats.cache_hits + report.retries_used);
-    Obs.Metrics.add m_retries report.retries_used;
-    Obs.Metrics.add m_ok report.ok_nodes;
-    Obs.Metrics.add m_crashed report.crashed_nodes;
-    Obs.Metrics.add m_starved report.starved_nodes;
-    Obs.Metrics.add m_errored report.errored_nodes;
-    Ok { partial; healthy_violations; r_radius_used = radius; r_stats; report }
-
-(** One point of a degradation curve: a plan, the statuses it induced,
-    and how badly the surviving labeling fails. *)
-type degradation_point = {
-  point_plan : Fault.Plan.t;
-  point_report : fault_report;
-  point_violations : int;
-}
-
-(** Evaluate [algo] under each plan in turn (shared seed: the fault-free
-    baseline of every point is the same run). First compile error
-    aborts. *)
-let degradation ?seed ?ids ?n_declared ?domains ?workers ?memo ?retries
-    ~plans ~problem algo g =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | plan :: rest -> (
-      match
-        run_resilient ?seed ?ids ?n_declared ?domains ?workers ?memo ~plan
-          ?retries ~problem algo g
-      with
-      | Error e -> Error e
-      | Ok o ->
-        go
-          ({
-             point_plan = plan;
-             point_report = o.report;
-             point_violations = List.length o.healthy_violations;
-           }
-           :: acc)
-          rest)
   in
-  go [] plans
+  let rows lo hi =
+    Util.Parallel.init ~domains:domains_used (hi - lo) (fun i ->
+        compute (lo + i))
+  in
+  let cluster_hits = ref 0 in
+  let cluster_retries = ref 0 in
+  (* One worker process per contiguous node range; each child runs the
+     domain-parallel engine above on its shard (reading halo balls
+     straight out of the copy-on-write graph) and ships rows, its
+     status slice, counter deltas, memo insertions and trace
+     collections back as one frame. Rank-order concatenation and
+     status blits make the outcome bit-identical to the single-process
+     run (the kill-worker chaos job diffs exactly this). A worker that
+     dies is recovered in-process: [recover] skips the child-only
+     trace reset, its effects (hit counters, memo inserts, statuses)
+     land in parent state directly, and exceptions propagate raw as in
+     the single-process engine. *)
+  let cluster_simulate () =
+    let shard lo hi =
+      match
+        child_obs_reset ();
+        let rows = rows lo hi in
+        let events, metrics = child_obs_payload () in
+        {
+          sp_rows = rows;
+          sp_statuses =
+            (if Array.length statuses = 0 then [||]
+             else Array.sub statuses lo (hi - lo));
+          sp_hits = Atomic.get hits + !hits_seq;
+          sp_retries = Atomic.get retried;
+          sp_memo = !journal;
+          sp_events = events;
+          sp_metrics = metrics;
+        }
+      with
+      | p -> Ok p
+      | exception e -> Error (wire_exn_of e)
+    in
+    let recover lo hi =
+      Ok
+        {
+          sp_rows = rows lo hi;
+          sp_statuses = [||];
+          sp_hits = 0;
+          sp_retries = 0;
+          sp_memo = [];
+          sp_events = [];
+          sp_metrics = [];
+        }
+    in
+    let shards =
+      Util.Cluster.map_ranges ~workers:workers_used ~recover ~n shard
+    in
+    Array.iter (function Error w -> reraise_wire w | Ok _ -> ()) shards;
+    let shards =
+      Array.map (function Ok p -> p | Error _ -> assert false) shards
+    in
+    Array.iteri
+      (fun rank p ->
+        if Array.length p.sp_statuses > 0 then begin
+          let lo, _ =
+            Util.Cluster.block_bounds ~n ~workers:workers_used rank
+          in
+          Array.blit p.sp_statuses 0 statuses lo
+            (Array.length p.sp_statuses)
+        end)
+      shards;
+    merge_shards ~cache ~hits_acc:cluster_hits ~retries_acc:cluster_retries
+      shards;
+    Array.concat (Array.to_list (Array.map (fun p -> p.sp_rows) shards))
+  in
+  (* [simulate_seconds] is the documented "extraction + algorithm
+     runs" window: it brackets the parallel section, not the id/PRNG
+     derivation above *)
+  let t_sim0 = Unix.gettimeofday () in
+  let labeling =
+    Obs.Span.with_ "runner.simulate" (fun () ->
+        if workers_used <= 1 then
+          Util.Parallel.init ~domains:domains_used n compute
+        else cluster_simulate ())
+  in
+  let t_simulated = Unix.gettimeofday () in
+  let violations =
+    Obs.Span.with_ "runner.verify" (fun () ->
+        match policy with
+        | Raise _ -> Lcl.Verify.violations problem g labeling
+        | Record { plan; _ } ->
+          Fault.Inject.verify_healthy plan g ~problem ~labeling
+            ~has_output:(fun v -> Fault.Inject.status_ok statuses.(v)))
+  in
+  let t_end = Unix.gettimeofday () in
+  let applied, severed_edges =
+    match policy with
+    | Raise _ -> (Fault.Plan.empty, 0)
+    | Record { plan; _ } ->
+      (plan.Fault.Inject.plan, plan.Fault.Inject.severed_live)
+  in
+  let report =
+    summarize_statuses applied ~severed_edges
+      ~retries_used:(Atomic.get retried + !cluster_retries)
+      statuses
+  in
+  let r_stats =
+    {
+      balls_extracted = n - report.crashed_nodes;
+      cache_hits = Atomic.get hits + !hits_seq + !cluster_hits;
+      distinct_views =
+        (match cache with
+        | None -> 0
+        | Some c -> Util.Keytab.length c.mc_tbl - views_before);
+      domains_used;
+      simulate_seconds = t_simulated -. t_sim0;
+      verify_seconds = t_end -. t_simulated;
+      total_seconds = t_end -. t_start;
+    }
+  in
+  Obs.Metrics.incr m_runs;
+  Obs.Metrics.add m_nodes n;
+  Obs.Metrics.add m_hits r_stats.cache_hits;
+  Obs.Metrics.add m_views r_stats.distinct_views;
+  (* invocations = surviving nodes minus memo hits, plus re-attempts *)
+  Obs.Metrics.add m_algo
+    (r_stats.balls_extracted - r_stats.cache_hits + report.retries_used);
+  (* the status counters stay zero under [Raise]: it records none *)
+  Obs.Metrics.add m_retries report.retries_used;
+  Obs.Metrics.add m_ok report.ok_nodes;
+  Obs.Metrics.add m_crashed report.crashed_nodes;
+  Obs.Metrics.add m_starved report.starved_nodes;
+  Obs.Metrics.add m_errored report.errored_nodes;
+  {
+    partial = labeling;
+    healthy_violations = violations;
+    r_radius_used = radius;
+    r_stats;
+    report;
+  }
 
-let succeeds ?seed ?ids ?n_declared ?domains ?workers ?memo ?plan ?retries
-    ~problem algo g =
+(* -- entry points -------------------------------------------------------- *)
+
+(** Run [algo] on [g] against [problem]: the fault-free projection of
+    the core. [n_declared] defaults to the true size (Def. 2.1 gives
+    nodes the exact n; pass a different value to "fool" an algorithm,
+    as the order-invariance speedup does). [domains] selects the worker
+    count of the parallel engine (default $LCL_DOMAINS, else
+    sequential); the labeling is identical for every worker count.
+    [memo] enables the canonical-view cache — only sound for
+    deterministic order-invariant algorithms. *)
+let run ?(seed = 0xC0FFEE) ?(ids = `Random) ?n_declared ?domains ?workers
+    ?(memo = false) ?cache ~problem (algo : Algorithm.t) g =
+  Obs.Span.with_ "runner.run" @@ fun () ->
+  let cache =
+    match cache with
+    | Some _ -> cache
+    | None -> if memo then Some (memo_cache ()) else None
+  in
+  let o =
+    execute ~policy:(Raise { cache }) ~seed ~ids ~n_declared ~domains ~workers
+      ~problem algo g
+  in
+  {
+    labeling = o.partial;
+    violations = o.healthy_violations;
+    radius_used = o.r_radius_used;
+    stats = o.r_stats;
+  }
+
+(** Run [algo] on [g] under fault [plan]. Nothing raises across the
+    parallel engine: every per-node failure is caught and becomes an
+    [Errored] status (with [retries] fresh-randomness re-attempts
+    first), crashed nodes are skipped, and the labeling is verified on
+    the healthy subgraph. Plan/graph mismatches return [Error] (F301). *)
+let run_resilient ?(seed = 0xC0FFEE) ?(ids = `Random) ?n_declared ?domains
+    ?workers ?(plan = Fault.Plan.empty) ?(retries = 0) ~problem
+    (algo : Algorithm.t) g =
+  Obs.Span.with_ "runner.run_resilient" @@ fun () ->
+  Result.map
+    (fun plan ->
+      execute ~policy:(Record { plan; retries }) ~seed ~ids ~n_declared
+        ~domains ~workers ~problem algo g)
+    (Fault.Inject.compile plan g)
+
+let succeeds ?seed ?ids ?n_declared ?domains ?workers ?plan ?retries ~problem
+    algo g =
   match plan with
   | None ->
-    (run ?seed ?ids ?n_declared ?domains ?workers ?memo ~problem algo g)
-      .violations
+    (run ?seed ?ids ?n_declared ?domains ?workers ~problem algo g).violations
     = []
   | Some plan -> (
     match
-      run_resilient ?seed ?ids ?n_declared ?domains ?workers ?memo ~plan
-        ?retries ~problem algo g
+      run_resilient ?seed ?ids ?n_declared ?domains ?workers ~plan ?retries
+        ~problem algo g
     with
     | Error _ -> false
     | Ok o -> o.healthy_violations = [] && o.report.errored_nodes = 0)
@@ -759,7 +625,7 @@ let succeeds ?seed ?ids ?n_declared ?domains ?workers ?memo ?plan ?retries
     reports beyond the pre-registered edge list (e.g. self-loops keyed
     as [(v, v)]) are counted instead of raising [Not_found]. *)
 let empirical_local_failure ?(trials = 100) ?(seed = 7) ?domains ?workers
-    ?memo ?plan ?retries ~problem algo g =
+    ?plan ?retries ~problem algo g =
   let n = Graph.n g in
   let node_fails = Array.make n 0 in
   let edge_fails = Hashtbl.create 64 in
@@ -773,7 +639,7 @@ let empirical_local_failure ?(trials = 100) ?(seed = 7) ?domains ?workers
      rejects (F301) fails everywhere by convention. *)
   let resilient_trial plan trial =
     match
-      run_resilient ~seed:(seed + (trial * 7919)) ?domains ?workers ?memo ~plan
+      run_resilient ~seed:(seed + (trial * 7919)) ?domains ?workers ~plan
         ?retries ~problem algo g
     with
     | Error _ ->
@@ -800,8 +666,7 @@ let empirical_local_failure ?(trials = 100) ?(seed = 7) ?domains ?workers
     | Some p -> resilient_trial p trial
     | None ->
       let o =
-        run ~seed:(seed + (trial * 7919)) ?domains ?workers ?memo ~problem
-          algo g
+        run ~seed:(seed + (trial * 7919)) ?domains ?workers ~problem algo g
       in
       let node_fail, edge_fail = Lcl.Verify.failure_events problem g o.labeling in
       Array.iteri (fun v f -> if f then node_fails.(v) <- node_fails.(v) + 1) node_fail;

@@ -38,7 +38,11 @@ val memo_cache : unit -> memo_cache
 (** Run [algo] on [g] against [problem]. [n_declared] defaults to the
     true size; pass another value to "fool" an algorithm (as the
     order-invariance speedups do). [seed] drives both the identifier
-    assignment and the per-node randomness.
+    assignment and the per-node randomness. This is the fault-free
+    projection of the engine behind [run_resilient]: an exception the
+    algorithm raises propagates (wrapped in [Util.Parallel.Worker_error]
+    when [domains] > 1), and a wrong output arity raises
+    [Invalid_argument].
 
     [domains] sets the worker count of the deterministic parallel
     engine (default: $LCL_DOMAINS, else 1 = sequential); the labeling
@@ -89,39 +93,27 @@ type resilient_outcome = {
     blocked edges (and are [Starved] when that truncation is visible);
     a per-node failure is retried up to [retries] times with fresh
     purely-derived randomness and then becomes an [Errored] status —
-    nothing raises across the parallel engine. The partial labeling is
-    verified on the healthy subgraph only. Pure in (graph, plan, seed):
+    F103, or the code of a [Fault.Error.E] the algorithm raised; a
+    wrong output arity is F102 and is never retried. Nothing raises
+    across the parallel engine. The partial labeling is verified on
+    the healthy subgraph only; under the empty plan it equals [run]'s
+    labeling for the same seed. Pure in (graph, plan, seed):
     bit-identical at any worker count — statuses and partial labeling
     included, for any [workers] process count (a worker process that
     dies mid-run is recovered in the parent with the same result).
     [Error] (F301) iff the plan references nodes outside the graph. *)
 val run_resilient :
   ?seed:int -> ?ids:id_mode -> ?n_declared:int -> ?domains:int ->
-  ?workers:int -> ?memo:bool -> ?plan:Fault.Plan.t -> ?retries:int ->
+  ?workers:int -> ?plan:Fault.Plan.t -> ?retries:int ->
   problem:Lcl.Problem.t -> Algorithm.t -> Graph.t ->
   (resilient_outcome, Fault.Error.t) result
-
-(** One point of a degradation curve. *)
-type degradation_point = {
-  point_plan : Fault.Plan.t;
-  point_report : fault_report;
-  point_violations : int;
-}
-
-(** Evaluate [algo] under each plan in turn with a shared seed (so the
-    fault-free baseline is common to every point). *)
-val degradation :
-  ?seed:int -> ?ids:id_mode -> ?n_declared:int -> ?domains:int ->
-  ?workers:int -> ?memo:bool -> ?retries:int -> plans:Fault.Plan.t list ->
-  problem:Lcl.Problem.t -> Algorithm.t -> Graph.t ->
-  (degradation_point list, Fault.Error.t) result
 
 (** Without [?plan]: the [run] outcome has no violations. With a plan:
     the resilient run has no healthy-subgraph violations and no
     [Errored] node (crashing/starving gracefully still succeeds). *)
 val succeeds :
   ?seed:int -> ?ids:id_mode -> ?n_declared:int -> ?domains:int ->
-  ?workers:int -> ?memo:bool -> ?plan:Fault.Plan.t -> ?retries:int ->
+  ?workers:int -> ?plan:Fault.Plan.t -> ?retries:int ->
   problem:Lcl.Problem.t -> Algorithm.t -> Graph.t -> bool
 
 (** Empirical *local* failure probability (Def. 2.4): over [trials]
@@ -132,6 +124,6 @@ val succeeds :
     violations count, crashed nodes impose nothing — so the result
     reports degradation instead of crashing. *)
 val empirical_local_failure :
-  ?trials:int -> ?seed:int -> ?domains:int -> ?workers:int -> ?memo:bool ->
+  ?trials:int -> ?seed:int -> ?domains:int -> ?workers:int ->
   ?plan:Fault.Plan.t -> ?retries:int ->
   problem:Lcl.Problem.t -> Algorithm.t -> Graph.t -> float

@@ -10,16 +10,6 @@ let m_degraded = Obs.Metrics.counter "serve.degraded"
 let m_deadline = Obs.Metrics.counter "serve.deadline.expired"
 let m_cache_bypassed = Obs.Metrics.counter "serve.cache.bypassed"
 
-let resolve_local_algo name =
-  match name with
-  | "cv-coloring" ->
-    Some (Local.Cole_vishkin.three_coloring, Lcl.Zoo.coloring ~k:3 ~delta:2)
-  | "mis" -> Some (Local.Mis.algorithm, Lcl.Zoo.mis ~delta:2)
-  | "matching" ->
-    Some (Local.Matching.algorithm, Lcl.Zoo.maximal_matching ~delta:2)
-  | "luby" -> Some (Local.Luby.algorithm, Lcl.Zoo.mis ~delta:2)
-  | _ -> None
-
 let zoo_text () =
   String.concat ""
     (List.map
@@ -58,7 +48,7 @@ let gap_text ~iterations ~max_labels problem =
 let simulate_text ?workers ~algo ~n ~seed () =
   if n < 3 then Error (Printf.sprintf "simulate: n must be >= 3 (got %d)" n)
   else
-    match resolve_local_algo algo with
+    match Local.Baselines.find algo with
     | None -> Error (Printf.sprintf "unknown algorithm %s" algo)
     | Some (a, problem) ->
       let g = Graph.Builder.oriented_cycle n in
@@ -72,7 +62,7 @@ let faultsim_text ?workers ~algo ~n ~seed ~fault_seed ~crash ~sever ~retries
     () =
   if n < 3 then Error (Printf.sprintf "faultsim: n must be >= 3 (got %d)" n)
   else
-    match resolve_local_algo algo with
+    match Local.Baselines.find algo with
     | None -> Error (Printf.sprintf "unknown algorithm %s" algo)
     | Some (a, problem) ->
       let g = Graph.Builder.oriented_cycle n in

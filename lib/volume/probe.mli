@@ -36,12 +36,14 @@ type outcome = {
 }
 
 (** Run the algorithm for every node under the given identifiers and
-    verify the assembled labeling. Queries are answered on the
-    deterministic parallel engine ([domains] as in [Local.Runner.run],
-    default $LCL_DOMAINS), optionally sharded across [workers] forked
-    processes ([workers] as in [Local.Runner.run], default
-    $LCL_WORKERS); results are identical for any (workers, domains)
-    combination. *)
+    verify the assembled labeling: the fault-free projection of the
+    engine behind [run_resilient], so [Budget_exceeded], [Bad_probe]
+    and the algorithm's own exceptions propagate. Queries are answered
+    on the deterministic parallel engine ([domains] as in
+    [Local.Runner.run], default $LCL_DOMAINS), optionally sharded
+    across [workers] forked processes ([workers] as in
+    [Local.Runner.run], default $LCL_WORKERS); results are identical
+    for any (workers, domains) combination. *)
 val run_with_ids :
   ?n_declared:int -> ?domains:int -> ?workers:int ->
   problem:Lcl.Problem.t -> t -> Graph.t -> ids:int array -> outcome
@@ -53,18 +55,13 @@ val run :
 
 (** {1 Resilient probing under a fault plan}
 
-    A probe is lost when it crosses a blocked edge (severed or with a
-    crashed endpoint) or when its 1-based ordinal is listed for the
-    querying node in the plan; a lost probe starves the query, so
-    VOLUME [Starved] nodes carry no output row. Budget overruns and
-    malformed probes become [Errored] (F201/F202), algorithm
-    exceptions F103 — nothing raises. *)
-
-(** One query under compiled faults: status, output row ([[||]] unless
-    [Ok]) and probes spent, lost ones included. *)
-val query_resilient :
-  ?n_declared:int -> Fault.Inject.compiled -> t -> Graph.t ->
-  ids:int array -> int -> Fault.status * int array * int
+    The same probe loop under a record policy: a probe is lost when it
+    crosses a blocked edge (severed or with a crashed endpoint) or
+    when its 1-based ordinal is listed for the querying node in the
+    plan; a lost probe starves the query, so VOLUME [Starved] nodes
+    carry no output row. Budget overruns and malformed probes become
+    [Errored] (F201/F202), algorithm exceptions F103 — nothing
+    raises. *)
 
 type fault_report = {
   applied : Fault.Plan.t;
@@ -89,8 +86,9 @@ type resilient_outcome = {
     the healthy subgraph. Retrying is run-level — VOLUME queries have
     no per-node randomness, so a retry redraws the identifier
     assignment for the whole run when some node [Errored].
-    Deterministic in (graph, plan, seed) at any worker count. [Error]
-    (F301) iff the plan does not fit the graph. *)
+    Deterministic in (graph, plan, seed) at any worker count; under
+    the empty plan the outcome equals [run]'s for the same seed.
+    [Error] (F301) iff the plan does not fit the graph. *)
 val run_resilient :
   ?seed:int -> ?n_declared:int -> ?domains:int -> ?workers:int ->
   ?plan:Fault.Plan.t -> ?retries:int -> problem:Lcl.Problem.t -> t ->

@@ -104,24 +104,38 @@ let prop_restricted_flag_exact =
 
 let mis_problem = Lcl.Zoo.mis ~delta:2
 
-let run_mis ?(domains = 1) ?(retries = 0) plan g =
+let run_mis ?(domains = 1) ?workers ?(retries = 0) plan g =
   match
-    Local.Runner.run_resilient ~seed:11 ~domains ~plan ~retries
+    Local.Runner.run_resilient ~seed:11 ~domains ?workers ~plan ~retries
       ~problem:mis_problem Local.Mis.algorithm g
   with
   | Ok o -> o
   | Error e -> Alcotest.failf "run_resilient: %s" (Fault.Error.to_string e)
 
+(* [run] is the empty-plan projection of the resilient engine: the
+   record policy must change nothing but the statuses it adds *)
 let test_empty_plan_matches_plain_run () =
   let g = Graph.Builder.oriented_cycle 48 in
-  let o = run_mis Fault.Plan.empty g in
-  let plain =
-    Local.Runner.run ~seed:11 ~problem:mis_problem Local.Mis.algorithm g
-  in
-  check bool "same labeling" true
-    (o.Local.Runner.partial = plain.Local.Runner.labeling);
-  check int "all ok" 48 o.Local.Runner.report.Local.Runner.ok_nodes;
-  check int "no violations" 0 (List.length o.Local.Runner.healthy_violations)
+  List.iter
+    (fun workers ->
+      let o = run_mis ~workers Fault.Plan.empty g in
+      let plain =
+        Local.Runner.run ~seed:11 ~domains:1 ~workers ~problem:mis_problem
+          Local.Mis.algorithm g
+      in
+      check bool "same labeling" true
+        (o.Local.Runner.partial = plain.Local.Runner.labeling);
+      let rs = o.Local.Runner.r_stats and ps = plain.Local.Runner.stats in
+      check int "same balls" ps.Local.Runner.balls_extracted
+        rs.Local.Runner.balls_extracted;
+      check int "same cache hits" ps.Local.Runner.cache_hits
+        rs.Local.Runner.cache_hits;
+      check int "same distinct views" ps.Local.Runner.distinct_views
+        rs.Local.Runner.distinct_views;
+      check int "all ok" 48 o.Local.Runner.report.Local.Runner.ok_nodes;
+      check int "no violations" 0
+        (List.length o.Local.Runner.healthy_violations))
+    [ 1; 3 ]
 
 let test_all_crashed () =
   let g = Graph.Builder.cycle 10 in
@@ -229,15 +243,21 @@ let test_retries_fix_randomness_sensitive_failures () =
   in
   check bool "some nodes errored without retries" true
     (no_retry.Local.Runner.report.Local.Runner.errored_nodes > 0);
-  (* F103/F002-style error carries the node index *)
-  let carried =
-    Array.exists
-      (function
-        | Fault.Errored e -> e.Fault.Error.node <> None
-        | _ -> false)
-      no_retry.Local.Runner.report.Local.Runner.statuses
-  in
-  check bool "errors carry node context" true carried;
+  (* an algorithm that raised is F103, carrying the node index *)
+  Array.iter
+    (function
+      | Fault.Errored e ->
+        check Alcotest.string "F103" "F103" e.Fault.Error.code;
+        check bool "errors carry node context" true (e.Fault.Error.node <> None)
+      | _ -> ())
+    no_retry.Local.Runner.report.Local.Runner.statuses;
+  (* the raise policy of [run] lets the algorithm's own exception out *)
+  check bool "run re-raises the algorithm's exception" true
+    (match
+       Local.Runner.run ~seed:5 ~domains:1 ~workers:1 ~problem flaky g
+     with
+    | exception Flaky _ -> true
+    | _ -> false);
   match
     Local.Runner.run_resilient ~seed:5 ~retries:40 ~problem flaky g
   with
@@ -331,6 +351,37 @@ let test_volume_budget_becomes_error () =
           check Alcotest.string "F201" "F201" e.Fault.Error.code
         | s -> Alcotest.failf "expected Errored, got %s" (Fault.Inject.status_string s))
       o.Volume.Probe.report.Volume.Probe.statuses
+
+(* [Probe.run] is the empty-plan projection of the resilient engine,
+   in process and sharded *)
+let test_volume_empty_plan_matches_plain_run () =
+  let g =
+    Lcl.Zoo_oriented.mark_orientation_inputs (Graph.Builder.oriented_cycle 40)
+  in
+  let problem = Lcl.Zoo_oriented.coloring ~k:3 in
+  let algo = Volume.Algorithms.cv_coloring in
+  List.iter
+    (fun workers ->
+      let plain = Volume.Probe.run ~domains:1 ~workers ~problem algo g in
+      match
+        Volume.Probe.run_resilient ~domains:1 ~workers ~plan:Fault.Plan.empty
+          ~problem algo g
+      with
+      | Error e -> Alcotest.failf "unexpected: %s" (Fault.Error.to_string e)
+      | Ok o ->
+        check bool "same labeling" true
+          (o.Volume.Probe.partial = plain.Volume.Probe.labeling);
+        check bool "same violations" true
+          (o.Volume.Probe.healthy_violations = plain.Volume.Probe.violations);
+        check int "same max probes" plain.Volume.Probe.max_probes
+          o.Volume.Probe.r_max_probes;
+        check int "same total probes" plain.Volume.Probe.total_probes
+          o.Volume.Probe.r_total_probes;
+        check bool "every status Ok" true
+          (Array.for_all
+             (fun s -> s = Fault.Ok)
+             o.Volume.Probe.report.Volume.Probe.statuses))
+    [ 1; 3 ]
 
 (* -- pipeline deadline / checkpoint / resume --------------------------- *)
 
@@ -479,6 +530,8 @@ let suites =
           test_volume_crash_starves_walker;
         Alcotest.test_case "budget becomes F201" `Quick
           test_volume_budget_becomes_error;
+        Alcotest.test_case "empty plan = plain run" `Quick
+          test_volume_empty_plan_matches_plain_run;
       ] );
     ( "fault.pipeline",
       [

@@ -267,10 +267,24 @@ let test_runner_rejects_bad_arity () =
     Local.Algorithm.constant ~name:"bad-arity" ~radius:0 (fun _ -> [| 0; 0; 0; 0 |])
   in
   let g = Graph.Builder.path 3 in
+  let problem = Lcl.Zoo.trivial ~delta:2 in
   check bool "arity mismatch detected" true
-    (match Local.Runner.run ~problem:(Lcl.Zoo.trivial ~delta:2) bad g with
+    (match Local.Runner.run ~problem bad g with
     | exception Invalid_argument _ -> true
-    | _ -> false)
+    | _ -> false);
+  (* the record policy files it as F102 and never retries it: a wrong
+     arity is a bug, not bad luck *)
+  match Local.Runner.run_resilient ~retries:2 ~problem bad g with
+  | Error e -> Alcotest.failf "unexpected: %s" (Fault.Error.to_string e)
+  | Ok o ->
+    Array.iter
+      (function
+        | Fault.Errored e -> check Alcotest.string "F102" "F102" e.Fault.Error.code
+        | s ->
+          Alcotest.failf "expected Errored, got %s" (Fault.Inject.status_string s))
+      o.Local.Runner.report.Local.Runner.statuses;
+    check int "arity errors are not retried" 0
+      o.Local.Runner.report.Local.Runner.retries_used
 
 let test_empirical_failure_rate () =
   (* a random 0-round 3-coloring fails locally with substantial

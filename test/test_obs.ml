@@ -353,6 +353,21 @@ let test_volume_probe_counters () =
     (Helpers.counter_value metrics "volume.probes");
   assert_span_count events "probe.run" 1;
   assert_span_count events "probe.simulate" 1;
+  assert_span_count events "probe.verify" 1;
+  (* the resilient entry runs the same core, spans included *)
+  let o, events, metrics =
+    with_trace (fun () ->
+        Volume.Probe.run_resilient ~problem:(Lcl.Zoo.free_choice ~delta:2)
+          (Volume.Algorithms.constant_choice ~name:"const" 0)
+          g)
+  in
+  (match o with
+  | Error e -> Alcotest.failf "resilient: %s" (Fault.Error.to_string e)
+  | Ok _ -> ());
+  assert_counter metrics "volume.queries" 30;
+  assert_counter metrics "volume.nodes_ok" 30;
+  assert_span_count events "probe.run_resilient" 1;
+  assert_span_count events "probe.simulate" 1;
   assert_span_count events "probe.verify" 1
 
 let test_fault_compile_counters () =
