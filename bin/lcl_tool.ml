@@ -141,6 +141,9 @@ let check_n ~cmd n =
     exit 2
   end
 
+(* Every JSON report is one line on stdout. *)
+let print_json fields = print_endline (Json.to_string (Obj fields))
+
 let workers_arg =
   Arg.(
     value & opt (some int) None
@@ -505,37 +508,23 @@ let faultsim_statuses_json (statuses : Fault.status array) =
     |> List.filter_map (fun (v, s) ->
            match s with
            | Fault.Errored e ->
-             Some (Fault.Json.Obj [ ("node", Int v); ("error", Fault.Error.to_json e) ])
+             Some
+               (Json.Obj [ ("node", Int v); ("error", Fault.Error.to_json e) ])
            | _ -> None)
   in
   (* cap the error detail so huge graphs keep reports readable *)
-  Fault.Json.List
+  Json.List
     (if List.length worst > 8 then
        List.filteri (fun i _ -> i < 8) worst
      else worst)
 
 let faultsim_local_report ~algo_name ~n (o : Local.Runner.resilient_outcome) =
-  let r = o.Local.Runner.report in
-  Fault.Json.Obj
-    [
-      ("faultsim", String "local");
-      ("algo", String algo_name);
-      ("n", Int n);
-      ("plan", Fault.Plan.to_json r.Local.Runner.applied);
-      ("radius", Int o.Local.Runner.r_radius_used);
-      ("ok", Int r.Local.Runner.ok_nodes);
-      ("crashed", Int r.Local.Runner.crashed_nodes);
-      ("starved", Int r.Local.Runner.starved_nodes);
-      ("errored", Int r.Local.Runner.errored_nodes);
-      ("severed_edges", Int r.Local.Runner.severed_edges);
-      ("retries_used", Int r.Local.Runner.retries_used);
-      ("healthy_violations", Int (List.length o.Local.Runner.healthy_violations));
-      ("errors", faultsim_statuses_json r.Local.Runner.statuses);
-    ]
+  Local.Runner.faultsim_fields ~algo:algo_name ~n o
+  @ [ ("errors", faultsim_statuses_json o.Local.Runner.report.statuses) ]
 
 let faultsim_volume_report ~algo_name ~n (o : Volume.Probe.resilient_outcome) =
   let r = o.Volume.Probe.report in
-  Fault.Json.Obj
+  Json.
     [
       ("faultsim", String "volume");
       ("algo", String algo_name);
@@ -625,7 +614,7 @@ let faultsim_cmd =
   in
   let print_report = function
     | Error e -> fail_error e
-    | Ok json -> print_endline (Fault.Json.to_string json)
+    | Ok fields -> print_json fields
   in
   (* the plan is drawn on the workload's own graph *)
   let run_workload ~algo_name ~n ~retries ~seed ~workers with_plan =
@@ -657,15 +646,14 @@ let faultsim_cmd =
         | Error e -> fail_error e
         | Ok r ->
           let base =
-            [
-              ("faultsim", Fault.Json.String "pipeline");
-              ("problem", Fault.Json.String spec);
-              ("verdict",
-               Fault.Json.String
-                 (faultsim_verdict_string r.Relim.Pipeline.verdict));
-              ("iterations",
-               Fault.Json.Int (List.length r.Relim.Pipeline.trace));
-            ]
+            Json.
+              [
+                ("faultsim", String "pipeline");
+                ("problem", String spec);
+                ( "verdict",
+                  String (faultsim_verdict_string r.Relim.Pipeline.verdict) );
+                ("iterations", Int (List.length r.Relim.Pipeline.trace));
+              ]
           in
           let extra =
             match r.Relim.Pipeline.verdict with
@@ -695,25 +683,25 @@ let faultsim_cmd =
                   | Error e -> fail_error e
                   | Ok o ->
                     let rr = o.Local.Runner.report in
-                    [
-                      ("plan", Fault.Plan.to_json plan);
-                      ("validation_n", Fault.Json.Int (Graph.n g));
-                      ("ok", Fault.Json.Int rr.Local.Runner.ok_nodes);
-                      ("crashed", Fault.Json.Int rr.Local.Runner.crashed_nodes);
-                      ("starved", Fault.Json.Int rr.Local.Runner.starved_nodes);
-                      ("errored", Fault.Json.Int rr.Local.Runner.errored_nodes);
-                      ("healthy_violations",
-                       Fault.Json.Int
-                         (List.length o.Local.Runner.healthy_violations));
-                    ])
+                    Json.
+                      [
+                        ("plan", Fault.Plan.to_json plan);
+                        ("validation_n", Int (Graph.n g));
+                        ("ok", Int rr.ok_nodes);
+                        ("crashed", Int rr.crashed_nodes);
+                        ("starved", Int rr.starved_nodes);
+                        ("errored", Int rr.errored_nodes);
+                        ( "healthy_violations",
+                          Int (List.length o.healthy_violations) );
+                      ])
             | Relim.Pipeline.Deadline_exceeded _ ->
               (* a checkpoint would embed wall times via Marshal floats;
                  report only its size so output stays byte-stable *)
               let ck = Relim.Pipeline.checkpoint r in
-              [ ("checkpoint_bytes", Fault.Json.Int (String.length ck)) ]
+              [ ("checkpoint_bytes", Json.Int (String.length ck)) ]
             | _ -> []
           in
-          print_endline (Fault.Json.to_string (Fault.Json.Obj (base @ extra))))
+          print_json (base @ extra))
       spec
   in
   let run n algo_name plan_file fault_seed crash sever corrupt flip probe_loss
@@ -752,21 +740,29 @@ let faultsim_cmd =
    memo: the seed path) and then on the configured engine; speedup is
    engine vs. sequential within the same invocation. *)
 
-let bench_json ~workload ~n ~config (o : Local.Runner.outcome) ~speedup =
+(* A wall time (or ratio) rounded to [digits] decimals. *)
+let rounded digits x =
+  let scale = 10. ** float_of_int digits in
+  Json.Float (Float.round (x *. scale) /. scale)
+
+let bench_json ~workload ~n ~memo (o : Local.Runner.outcome) ~speedup =
   let s = o.Local.Runner.stats in
-  Printf.printf
-    "{\"bench\":\"runner\",\"workload\":\"%s\",\"n\":%d,\"radius\":%d,\
-     \"domains\":%d,\"memo\":%b,\"balls\":%d,\"cache_hits\":%d,\
-     \"distinct_views\":%d,\"simulate_s\":%.6f,\"verify_s\":%.6f,\
-     \"total_s\":%.6f,\"violations\":%d%s}\n"
-    workload n o.Local.Runner.radius_used s.Local.Runner.domains_used
-    (snd config) s.Local.Runner.balls_extracted s.Local.Runner.cache_hits
-    s.Local.Runner.distinct_views s.Local.Runner.simulate_seconds
-    s.Local.Runner.verify_seconds s.Local.Runner.total_seconds
-    (List.length o.Local.Runner.violations)
-    (match speedup with
-    | None -> ""
-    | Some x -> Printf.sprintf ",\"speedup_vs_seq\":%.2f" x)
+  print_json
+    (Json.
+       [
+         ("bench", String "runner"); ("workload", String workload);
+         ("n", Int n); ("radius", Int o.Local.Runner.radius_used);
+         ("domains", Int s.Local.Runner.domains_used); ("memo", Bool memo);
+         ("balls", Int s.Local.Runner.balls_extracted);
+         ("cache_hits", Int s.Local.Runner.cache_hits);
+         ("distinct_views", Int s.Local.Runner.distinct_views);
+         ("simulate_s", rounded 6 s.Local.Runner.simulate_seconds);
+         ("verify_s", rounded 6 s.Local.Runner.verify_seconds);
+         ("total_s", rounded 6 s.Local.Runner.total_seconds);
+         ("violations", Int (List.length o.Local.Runner.violations));
+       ]
+    @ Option.fold speedup ~none:[] ~some:(fun x ->
+          [ ("speedup_vs_seq", rounded 2 x) ]))
 
 let bench_runner_cmd =
   let domains_arg =
@@ -820,7 +816,7 @@ let bench_runner_cmd =
     List.iter
       (fun (label, n, algo, problem, g, ids, memo_sound) ->
         let seq = Local.Runner.run ~ids ~domains:1 ~memo:false ~problem algo g in
-        bench_json ~workload:label ~n ~config:(1, false) seq ~speedup:None;
+        bench_json ~workload:label ~n ~memo:false seq ~speedup:None;
         let eng =
           Local.Runner.run ~ids ~domains ~memo:memo_sound ~problem algo g
         in
@@ -832,7 +828,7 @@ let bench_runner_cmd =
           Fmt.epr "bench-runner: %s engine labeling diverged@." label;
           exit 1
         end;
-        bench_json ~workload:label ~n ~config:(domains, memo_sound) eng
+        bench_json ~workload:label ~n ~memo:memo_sound eng
           ~speedup:(Some speedup))
       workloads;
     obs_end metrics
@@ -898,13 +894,15 @@ let substrate_smoke_cmd =
     let ev = List.length echo.Local.Runner.violations in
     let cv = List.length color.Local.Runner.violations in
     let es = echo.Local.Runner.stats in
-    Printf.printf
-      "{\"bench\":\"substrate-smoke\",\"n\":%d,\"ids_ok\":%b,\
-       \"echo_violations\":%d,\"echo_cache_hits\":%d,\
-       \"echo_distinct_views\":%d,\"coloring_violations\":%d,\
-       \"elapsed_s\":%.2f}\n"
-      n ids_ok ev es.Local.Runner.cache_hits es.Local.Runner.distinct_views cv
-      (Unix.gettimeofday () -. t0);
+    print_json
+      [
+        ("bench", String "substrate-smoke"); ("n", Int n);
+        ("ids_ok", Bool ids_ok); ("echo_violations", Int ev);
+        ("echo_cache_hits", Int es.Local.Runner.cache_hits);
+        ("echo_distinct_views", Int es.Local.Runner.distinct_views);
+        ("coloring_violations", Int cv);
+        ("elapsed_s", rounded 2 (Unix.gettimeofday () -. t0));
+      ];
     obs_end metrics;
     if ev <> 0 || cv <> 0 then begin
       Fmt.epr "substrate-smoke: verification failed (echo %d, coloring %d)@."
@@ -1403,13 +1401,9 @@ let chaos_soak_cmd =
         Serve.Daemon.request ~recv_timeout_s:30. ~socket_path:sock
           Serve.Protocol.Health
       with
-      | Serve.Protocol.Answer t ->
-        let affix = "\"serve\":\"health\"" in
-        let rec has i =
-          i + String.length affix <= String.length t
-          && (String.sub t i (String.length affix) = affix || has (i + 1))
-        in
-        has 0
+      | Serve.Protocol.Answer t -> (
+        try Json.member "serve" (Json.of_string t) = Some (String "health")
+        with Json.Parse_error _ -> false)
       | _ -> false
     in
     if counters then begin
@@ -1431,23 +1425,31 @@ let chaos_soak_cmd =
       (fun p -> try Sys.remove p with Sys_error _ -> ())
       [ sock; cachef ];
     (* the stable report: diffed verbatim by the serve-chaos CI job *)
-    let plan_counts =
-      String.concat ","
-        (List.map
-           (fun (k, c) -> Printf.sprintf "\"%s\":%d" k c)
-           (Fault.Service.counts plan))
-    in
-    Printf.printf
-      "{\"soak\":\"report\",\"seed\":%d,\"requests\":%d,\"plan\":{%s},\
-       \"outcomes\":{\"answered\":%d,\"failed\":%d,\"deadline\":%d,\
-       \"overloaded\":%d,\"client_aborted\":%d},\
-       \"overload\":{\"sent\":%d,\"answered\":%d,\"shed\":%d},\
-       \"digest\":\"%s\",\"warm_identical\":%b,\"health_ok\":%b,\
-       \"all_typed\":true}\n"
-      seed requests plan_counts !answered !failed !deadline !overloaded
-      !aborted overload_sent overload_ok overload_shed
-      (Digest.to_hex (Digest.string (Buffer.contents digest_buf)))
-      warm_identical health_ok;
+    print_json
+      [
+        ("soak", String "report"); ("seed", Int seed);
+        ("requests", Int requests);
+        ( "plan",
+          Obj
+            (List.map
+               (fun (k, c) -> (k, Json.Int c))
+               (Fault.Service.counts plan)) );
+        ( "outcomes",
+          Obj
+            [
+              ("answered", Int !answered); ("failed", Int !failed);
+              ("deadline", Int !deadline); ("overloaded", Int !overloaded);
+              ("client_aborted", Int !aborted);
+            ] );
+        ( "overload",
+          Obj
+            [ ("sent", Int overload_sent); ("answered", Int overload_ok);
+              ("shed", Int overload_shed) ] );
+        ( "digest",
+          String (Digest.to_hex (Digest.string (Buffer.contents digest_buf))) );
+        ("warm_identical", Bool warm_identical); ("health_ok", Bool health_ok);
+        ("all_typed", Bool true);
+      ];
     if
       !transport_failures > 0 || !internal_failures > 0 || not warm_identical
       || not health_ok
@@ -1548,17 +1550,16 @@ let fuzz_cmd =
       | Error m ->
         Fmt.epr "fuzz: bad repro %s: %s@." path m;
         exit 2
-      | Ok true ->
-        Printf.printf
-          "{\"fuzz\":\"replay\",\"repro\":%S,\"configs\":[\"%s\",\"%s\"],\
-           \"reproduces\":true}\n"
-          (Filename.basename path) r.Fuzz.Repro.config_a r.Fuzz.Repro.config_b;
-        exit 1
-      | Ok false ->
-        Printf.printf
-          "{\"fuzz\":\"replay\",\"repro\":%S,\"configs\":[\"%s\",\"%s\"],\
-           \"reproduces\":false}\n"
-          (Filename.basename path) r.Fuzz.Repro.config_a r.Fuzz.Repro.config_b)
+      | Ok reproduces ->
+        print_json
+          [
+            ("fuzz", String "replay");
+            ("repro", String (Filename.basename path));
+            ( "configs",
+              List [ String r.Fuzz.Repro.config_a; String r.config_b ] );
+            ("reproduces", Bool reproduces);
+          ];
+        if reproduces then exit 1)
   in
   let with_daemon no_serve f =
     if no_serve then f None
@@ -1691,14 +1692,18 @@ let fuzz_cmd =
                incr ran
              done
            with Exit -> ());
-          Printf.printf
-            "{\"fuzz\":\"report\",\"seed\":%d,\"cases\":%d,\"divergent\":%d,\
-             \"configs\":[%s],\"serve\":%b,\"digest\":\"%s\"}\n"
-            seed !ran !divergent
-            (String.concat ","
-               (List.map (Printf.sprintf "\"%s\"") Fuzz.Oracle.configs))
-            (serve <> None)
-            (Digest.to_hex (Digest.string (Buffer.contents digest_buf)));
+          print_json
+            [
+              ("fuzz", String "report"); ("seed", Int seed);
+              ("cases", Int !ran); ("divergent", Int !divergent);
+              ( "configs",
+                List (List.map (fun c -> Json.String c) Fuzz.Oracle.configs) );
+              ("serve", Bool (serve <> None));
+              ( "digest",
+                String
+                  (Digest.to_hex (Digest.string (Buffer.contents digest_buf)))
+              );
+            ];
           if !divergent > 0 then begin
             Fmt.epr "fuzz FAILED: %d/%d cases divergent, %d repro(s) in %s@."
               !divergent !ran (List.length !repros) repro_dir;

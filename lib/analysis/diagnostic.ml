@@ -71,37 +71,25 @@ let pp ppf d =
 
 let to_string d = Fmt.str "%a" pp d
 
-(* -- JSON (hand-rolled: no JSON library in the dependency set) -------- *)
+(* -- JSON --------------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json d =
+  Json.Obj
+    [
+      ("code", String d.code);
+      ("severity", String (severity_string d.severity));
+      ("message", String d.message);
+      ("file", match d.file with Some f -> String f | None -> Null);
+      ("line", match d.line with Some l -> Int l | None -> Null);
+    ]
 
-let to_json d =
-  Printf.sprintf
-    "{\"code\":\"%s\",\"severity\":\"%s\",\"message\":\"%s\",\"file\":%s,\"line\":%s}"
-    (json_escape d.code)
-    (severity_string d.severity)
-    (json_escape d.message)
-    (match d.file with
-    | None -> "null"
-    | Some f -> Printf.sprintf "\"%s\"" (json_escape f))
-    (match d.line with None -> "null" | Some l -> string_of_int l)
+let to_json d = Json.to_string (json d)
 
 let list_to_json ds =
-  Printf.sprintf
-    "{\"diagnostics\":[%s],\"errors\":%d,\"warnings\":%d,\"infos\":%d}"
-    (String.concat "," (List.map to_json ds))
-    (count Error ds) (count Warning ds) (count Info ds)
+  Json.to_string
+    (Obj
+       [
+         ("diagnostics", List (List.map json ds));
+         ("errors", Int (count Error ds)); ("warnings", Int (count Warning ds));
+         ("infos", Int (count Info ds));
+       ])

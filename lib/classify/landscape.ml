@@ -552,56 +552,35 @@ let classify ?(max_iterations = 3) ?(max_labels = 200) p =
 
 (* -- byte-stable JSON ------------------------------------------------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let strings ss = Json.List (List.map (fun s -> Json.String s) ss)
+let kind k fields = Json.Obj (("kind", Json.String k) :: fields)
 
-let json_str s = "\"" ^ json_escape s ^ "\""
-
-let json_list items = "[" ^ String.concat "," items ^ "]"
-
-let json_strings ss = json_list (List.map json_str ss)
+let opt f = function Some v -> f v | None -> Json.Null
 
 let upper_json = function
-  | U_pipeline { rounds } ->
-    Fmt.str {|{"kind":"pipeline","rounds":%d}|} rounds
-  | U_greedy { set } ->
-    Fmt.str {|{"kind":"greedy","set":%s}|} (json_strings set)
+  | U_pipeline { rounds } -> kind "pipeline" [ ("rounds", Int rounds) ]
+  | U_greedy { set } -> kind "greedy" [ ("set", strings set) ]
   | U_chain_flexible { set; flexible } ->
-    Fmt.str {|{"kind":"chain_flexible","set":%s,"flexible":%s}|}
-      (json_strings set) (json_str flexible)
+    kind "chain_flexible"
+      [ ("set", strings set); ("flexible", String flexible) ]
   | U_path_automaton { state } ->
-    Fmt.str {|{"kind":"path_automaton","state":%s}|} (json_str state)
-  | U_solvable { root } ->
-    Fmt.str {|{"kind":"top_down","root":%s}|} (json_str root)
-  | U_two_node_components -> {|{"kind":"two_node_components"}|}
+    kind "path_automaton" [ ("state", String state) ]
+  | U_solvable { root } -> kind "top_down" [ ("root", String root) ]
+  | U_two_node_components -> kind "two_node_components" []
+
+let cp_json v = Json.String (Cycle_path.verdict_string v)
 
 let lower_json = function
-  | L_trivial -> {|{"kind":"trivial"}|}
-  | L_path { verdict } ->
-    Fmt.str {|{"kind":"path_automaton","verdict":%s}|}
-      (json_str (Cycle_path.verdict_string verdict))
-  | L_fixed_point { at } ->
-    Fmt.str {|{"kind":"fixed_point","iteration":%d}|} at
+  | L_trivial -> kind "trivial" []
+  | L_path { verdict } -> kind "path_automaton" [ ("verdict", cp_json verdict) ]
+  | L_fixed_point { at } -> kind "fixed_point" [ ("iteration", Int at) ]
   | L_empty_degree_row { degree } ->
-    Fmt.str {|{"kind":"empty_degree_row","degree":%d}|} degree
+    kind "empty_degree_row" [ ("degree", Int degree) ]
   | L_regular_elimination { height; arity } ->
-    Fmt.str {|{"kind":"regular_elimination","height":%d,"arity":%d}|} height
-      arity
+    kind "regular_elimination" [ ("height", Int height); ("arity", Int arity) ]
 
 let to_json t =
-  let kind, lo, hi, detail =
+  let verdict, lo, hi, detail =
     match t.verdict with
     | Class l -> ("class", Some l, Some l, None)
     | Between (lo, hi) -> ("between", Some lo, Some hi, None)
@@ -609,40 +588,29 @@ let to_json t =
     | Unsupported r -> ("unsupported", None, None, Some r)
     | Inconclusive r -> ("inconclusive", None, None, Some r)
   in
-  let opt_level = function
-    | Some l -> json_str (level_key l)
-    | None -> "null"
-  in
-  let opt_cp = function
-    | Some v -> json_str (Cycle_path.verdict_string v)
-    | None -> "null"
-  in
-  String.concat ""
-    [
-      "{";
-      Fmt.str {|"problem":%s,"delta":%d,"inputs":%b,|} (json_str t.problem)
-        t.delta t.has_inputs;
-      Fmt.str {|"verdict":%s,"lower":%s,"upper":%s,"detail":%s,"text":%s,|}
-        (json_str kind) (opt_level lo) (opt_level hi)
-        (match detail with Some d -> json_str d | None -> "null")
-        (json_str (verdict_text t.verdict));
-      Fmt.str {|"paths":%s,"cycles":%s,|} (opt_cp t.path_verdict)
-        (opt_cp t.cycle_verdict);
-      Fmt.str
-        {|"certificate":{"pruned":%s,"sustaining":%s,"upper":%s,"lower":%s},|}
-        (json_strings t.certificate.pruned)
-        (json_strings t.certificate.sustaining)
-        (match t.certificate.upper with
-        | Some u -> upper_json u
-        | None -> "null")
-        (lower_json t.certificate.lower);
-      Fmt.str {|"algorithm":%s,|}
-        (match t.algo with
-        | Some a -> Fmt.str {|{"radius":%d}|} a.Relim.Lift.radius
-        | None -> "null");
-      Fmt.str {|"notes":%s|} (json_strings t.notes);
-      "}";
-    ]
+  let level l = Json.String (level_key l) in
+  let algorithm a = Json.Obj [ ("radius", Int a.Relim.Lift.radius) ] in
+  Json.to_string
+    (Obj
+       [
+         ("problem", String t.problem); ("delta", Int t.delta);
+         ("inputs", Bool t.has_inputs); ("verdict", String verdict);
+         ("lower", opt level lo); ("upper", opt level hi);
+         ("detail", opt (fun d -> Json.String d) detail);
+         ("text", String (verdict_text t.verdict));
+         ("paths", opt cp_json t.path_verdict);
+         ("cycles", opt cp_json t.cycle_verdict);
+         ( "certificate",
+           Obj
+             [
+               ("pruned", strings t.certificate.pruned);
+               ("sustaining", strings t.certificate.sustaining);
+               ("upper", opt upper_json t.certificate.upper);
+               ("lower", lower_json t.certificate.lower);
+             ] );
+         ("algorithm", opt algorithm t.algo);
+         ("notes", strings t.notes);
+       ])
 
 (* -- text report ------------------------------------------------------ *)
 
@@ -793,17 +761,18 @@ let replay ?(seed = 42) ?(sizes = [ 8; 20; 50 ]) ?domains ?workers ?memo p t =
   { checks; agreement = List.for_all (fun c -> c.ok) checks }
 
 let replay_to_json r =
-  String.concat ""
-    [
-      {|{"checks":|};
-      json_list
-        (List.map
-           (fun c ->
-             Fmt.str {|{"name":%s,"ok":%b,"detail":%s}|} (json_str c.name)
-               c.ok (json_str c.detail))
-           r.checks);
-      Fmt.str {|,"agreement":%b}|} r.agreement;
-    ]
+  let check c =
+    Json.Obj
+      [
+        ("name", String c.name); ("ok", Bool c.ok); ("detail", String c.detail);
+      ]
+  in
+  Json.to_string
+    (Obj
+       [
+         ("checks", List (List.map check r.checks));
+         ("agreement", Bool r.agreement);
+       ])
 
 let pp_replay ppf r =
   List.iter

@@ -2,8 +2,8 @@
    deterministic, serializable fault plans ([Plan]), typed F-coded
    runtime errors ([Error]), and the machinery that applies a plan to
    a graph and verifies partial outcomes on the healthy subgraph
-   ([Inject]). [Json] is the dependency-free JSON tree the plans and
-   degradation reports travel in.
+   ([Inject]). [Json] re-exports the repo's one JSON codec (the [json]
+   library), which plans and degradation reports travel in.
 
    The simulators consume this library: [Local.Runner.run_resilient]
    and [Volume.Probe.run_resilient] run against a plan and return

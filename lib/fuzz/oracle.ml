@@ -354,19 +354,19 @@ let diverges ?(seed = 0xF022) ?break_config ~config_a ~config_b problem spec =
 (* -- report --------------------------------------------------------------- *)
 
 let result_to_json r =
-  let divs =
-    String.concat ","
-      (List.map
-         (fun d ->
-           Printf.sprintf "{\"a\":\"%s\",\"b\":\"%s\",\"detail\":\"%s\"}"
-             d.config_a d.config_b d.detail)
-         r.divergences)
+  let divergence d =
+    Json.Obj
+      [ ("a", String d.config_a); ("b", String d.config_b);
+        ("detail", String d.detail) ]
   in
-  Printf.sprintf
-    "{\"fuzz\":\"case\",\"index\":%d,\"graph\":\"%s\",\"n\":%d,\"delta\":%d,\
-     \"problem\":\"%s\",\"labels\":\"%s\",\"violations\":%d,\"radius\":%d,\
-     \"classify\":\"%s\",\"configs\":[%s],\"divergences\":[%s]}"
-    r.case_index r.graph r.n r.problem_delta r.source_digest r.label_digest
-    r.violations r.radius r.classify_digest
-    (String.concat "," (List.map (Printf.sprintf "\"%s\"") r.configs_run))
-    divs
+  Json.to_string
+    (Obj
+       [
+         ("fuzz", String "case"); ("index", Int r.case_index);
+         ("graph", String r.graph); ("n", Int r.n);
+         ("delta", Int r.problem_delta); ("problem", String r.source_digest);
+         ("labels", String r.label_digest); ("violations", Int r.violations);
+         ("radius", Int r.radius); ("classify", String r.classify_digest);
+         ("configs", List (List.map (fun c -> Json.String c) r.configs_run));
+         ("divergences", List (List.map divergence r.divergences));
+       ])

@@ -1,13 +1,14 @@
-(* Minimal JSON tree: the carrier of fault plans and degradation
-   reports. The repo deliberately has no JSON dependency (see
-   DESIGN.md); [Analysis.Diagnostic] hand-rolls its renderer the same
-   way. This module adds the one thing the fault subsystem needs on top
-   of printing: a parser, so chaos runs replayed from a serialized
-   [Fault.Plan] are possible without new packages.
+(* Minimal JSON tree: the one codec behind every JSON document the
+   repo prints (fault plans and reports, landscape certificates, lint
+   diagnostics, traces, fuzz and soak reports, daemon stats) and the
+   parser that reads plans and reports back. A library of its own with
+   no dependencies, so even [Obs] at the bottom of the stack can render
+   through it; the repo deliberately has no external JSON dependency
+   (see DESIGN.md).
 
    Supported: null, booleans, integers, floats, strings (with the
    standard escapes), arrays, objects. Integers outside the JSON-safe
-   range are not special-cased — plans only carry node indices, counts
+   range are not special-cased — documents carry node indices, counts
    and hex-string-encoded 64-bit masks. *)
 
 type t =
@@ -41,15 +42,22 @@ let escape b s =
     s;
   Buffer.add_char b '"'
 
+(* The shortest of %.15g/%.16g/%.17g that reads back exactly, marked
+   as a float (a '.' or an exponent) so it never reads back as [Int]. *)
+let float_text x =
+  let s =
+    List.find
+      (fun s -> float_of_string s = x)
+      (List.map (fun p -> Printf.sprintf "%.*g" p x) [ 15; 16; 17 ])
+  in
+  if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
+
 let rec write b = function
   | Null -> Buffer.add_string b "null"
   | Bool v -> Buffer.add_string b (if v then "true" else "false")
   | Int i -> Buffer.add_string b (string_of_int i)
-  | Float x ->
-    (* keep output valid JSON: no nan/inf, always a decimal point *)
-    if Float.is_integer x && Float.abs x < 1e15 then
-      Buffer.add_string b (Printf.sprintf "%.1f" x)
-    else Buffer.add_string b (Printf.sprintf "%.17g" x)
+  | Float x when not (Float.is_finite x) -> Buffer.add_string b "null"
+  | Float x -> Buffer.add_string b (float_text x)
   | String s -> escape b s
   | List items ->
     Buffer.add_char b '[';

@@ -1,7 +1,9 @@
-(** Minimal JSON tree (no external dependency): printer and parser for
-    fault plans and degradation reports. Strings are ASCII-oriented
-    ([\uXXXX] escapes above 127 degrade to ['?'] on parse); numbers
-    parse to [Int] when integral, [Float] otherwise. *)
+(** Minimal JSON tree (no external dependency): the printer behind
+    every JSON document the repo emits, and the parser for fault plans
+    and reports. Strings are byte strings: the printer escapes quotes,
+    backslashes and control bytes and passes every other byte through,
+    so UTF-8 stays UTF-8; [\uXXXX] escapes above 127 degrade to ['?']
+    on parse. Numbers parse to [Int] when integral, [Float] otherwise. *)
 
 type t =
   | Null
@@ -14,7 +16,11 @@ type t =
 
 exception Parse_error of string
 
-(** Compact (single-line) rendering; keys and strings escaped. *)
+(** Compact (single-line) rendering; keys and strings escaped. A
+    finite [Float] prints as the shortest of [%.15g]/[%.16g]/[%.17g]
+    that reads back exactly, with [".0"] appended when that text has
+    neither a ['.'] nor an exponent (so it reads back as [Float], not
+    [Int]); nan and the infinities print as [null]. *)
 val to_string : t -> string
 
 (** @raise Parse_error on malformed input (message carries the byte

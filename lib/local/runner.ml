@@ -202,6 +202,18 @@ type resilient_outcome = {
   report : fault_report;
 }
 
+let faultsim_fields ~algo ~n o =
+  let r = o.report in
+  [
+    ("faultsim", Json.String "local"); ("algo", String algo); ("n", Int n);
+    ("plan", Fault.Plan.to_json r.applied); ("radius", Int o.r_radius_used);
+    ("ok", Int r.ok_nodes); ("crashed", Int r.crashed_nodes);
+    ("starved", Int r.starved_nodes); ("errored", Int r.errored_nodes);
+    ("severed_edges", Int r.severed_edges);
+    ("retries_used", Int r.retries_used);
+    ("healthy_violations", Int (List.length o.healthy_violations));
+  ]
+
 (* What a node failure does. [Raise] is [run]'s: no plan, the
    algorithm's exception propagates and a wrong output arity is
    [Invalid_argument]; only here may the memo serve, since it is sound

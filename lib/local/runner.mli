@@ -88,6 +88,12 @@ type resilient_outcome = {
   report : fault_report;
 }
 
+(** The fields of a LOCAL fault report, in report order: the serve
+    daemon's [Faultsim] answer is exactly these, and [lcl_tool faultsim]
+    appends its per-node [errors]. *)
+val faultsim_fields :
+  algo:string -> n:int -> resilient_outcome -> (string * Json.t) list
+
 (** Run [algo] on [g] under fault [plan] (default: no faults). Crashed
     nodes produce no output; surviving nodes see views truncated at
     blocked edges (and are [Starved] when that truncation is visible);

@@ -15,21 +15,8 @@
    [summary]: a plain-text digest for humans (per-name span counts
    and total self-inclusive time, then the metrics). *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* Seconds as microseconds, kept to nanosecond resolution. *)
+let us seconds = Json.Float (Float.round (seconds *. 1e9) /. 1e3)
 
 (** Chrome-trace JSON ({"traceEvents": [...]}) of the spans. *)
 let chrome events =
@@ -37,59 +24,54 @@ let chrome events =
     List.fold_left (fun m (e : Span.event) -> min m e.t_start) infinity events
   in
   let t0 = if t0 = infinity then 0.0 else t0 in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"traceEvents\":[";
-  List.iteri
-    (fun i (e : Span.event) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"lcl\",\"ph\":\"X\",\"pid\":0,\
-            \"tid\":%d,\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"seq\":%d,\
-            \"depth\":%d}}"
-           (escape e.name) e.domain
-           ((e.t_start -. t0) *. 1e6)
-           ((e.t_stop -. e.t_start) *. 1e6)
-           e.seq e.depth))
-    events;
-  Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}";
-  Buffer.contents b
+  let event (e : Span.event) =
+    Json.Obj
+      [
+        ("name", String e.name); ("cat", String "lcl"); ("ph", String "X");
+        ("pid", Int 0); ("tid", Int e.domain); ("ts", us (e.t_start -. t0));
+        ("dur", us (e.t_stop -. e.t_start));
+        ("args", Obj [ ("seq", Int e.seq); ("depth", Int e.depth) ]);
+      ]
+  in
+  Json.to_string
+    (Obj
+       [
+         ("traceEvents", List (List.map event events));
+         ("displayTimeUnit", String "ms");
+       ])
 
-let metric_line b name (v : Metrics.value) =
+(* One metric line, or [None] for a zero metric. *)
+let metric_json (name, (v : Metrics.value)) =
+  let line ev fields =
+    Some (Json.Obj (("ev", String ev) :: ("name", String name) :: fields))
+  in
   match v with
-  | Metrics.Counter_v n ->
-    Buffer.add_string b
-      (Printf.sprintf "{\"ev\":\"counter\",\"name\":\"%s\",\"value\":%d}\n"
-         (escape name) n)
-  | Metrics.Gauge_v n ->
-    Buffer.add_string b
-      (Printf.sprintf "{\"ev\":\"gauge\",\"name\":\"%s\",\"value\":%d}\n"
-         (escape name) n)
+  | _ when Metrics.is_zero v -> None
+  | Metrics.Counter_v n -> line "counter" [ ("value", Int n) ]
+  | Metrics.Gauge_v n -> line "gauge" [ ("value", Int n) ]
   | Metrics.Histogram_v { count; sum; max; buckets } ->
-    Buffer.add_string b
-      (Printf.sprintf
-         "{\"ev\":\"histogram\",\"name\":\"%s\",\"count\":%d,\"sum\":%d,\
-          \"max\":%d,\"buckets\":[%s]}\n"
-         (escape name) count sum max
-         (String.concat ","
-            (List.map (fun (lo, c) -> Printf.sprintf "[%d,%d]" lo c) buckets)))
+    line "histogram"
+      [
+        ("count", Int count); ("sum", Int sum); ("max", Int max);
+        ( "buckets",
+          List (List.map (fun (lo, c) -> Json.List [ Int lo; Int c ]) buckets)
+        );
+      ]
 
 (** Byte-stable JSONL: span lines (in (domain, seq) order, no
     timestamps) followed by the nonzero metrics (in name order). *)
 let jsonl events metrics =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun (e : Span.event) ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"ev\":\"span\",\"name\":\"%s\",\"domain\":%d,\"seq\":%d,\
-            \"depth\":%d}\n"
-           (escape e.name) e.domain e.seq e.depth))
-    events;
-  List.iter
-    (fun (name, v) -> if not (Metrics.is_zero v) then metric_line b name v)
-    metrics;
-  Buffer.contents b
+  let span (e : Span.event) =
+    Json.Obj
+      [
+        ("ev", String "span"); ("name", String e.name);
+        ("domain", Int e.domain); ("seq", Int e.seq); ("depth", Int e.depth);
+      ]
+  in
+  String.concat ""
+    (List.map
+       (fun j -> Json.to_string j ^ "\n")
+       (List.map span events @ List.filter_map metric_json metrics))
 
 (** Plain-text digest: per-name span count and total wall time, then
     the nonzero metrics. *)

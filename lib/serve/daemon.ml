@@ -101,7 +101,9 @@ let read_requests scratch c =
       drain []
     with
     | reqs -> reqs
-    | exception (Util.Framing.Corrupt _ | Failure _) ->
+    | exception (Util.Framing.Corrupt _ | Failure _ | Invalid_argument _) ->
+      (* [Invalid_argument]: a payload shorter than its Marshal header,
+         e.g. the zero-length frame *)
       Obs.Metrics.incr m_conn_dropped;
       close_conn c;
       [])
@@ -126,24 +128,29 @@ let respond c r =
       Obs.Metrics.incr m_conn_dropped;
       close_conn c
 
+let json_line fields = Json.to_string (Obj fields) ^ "\n"
+
 let stats_text stats ~cache =
-  Printf.sprintf
-    "{\"serve\":\"stats\",\"served\":%d,\"cache_hits\":%d,\
-     \"cache_misses\":%d,\"connections\":%d,\"shed\":%d,\"degraded\":%d,\
-     \"deadlines\":%d,\"failed\":%d,\"quarantined\":%d,\"cache_entries\":%d}\n"
-    stats.served stats.hits stats.misses stats.connections stats.shed
-    stats.degraded stats.deadlines stats.failed stats.quarantined
-    (Util.Diskcache.length cache)
+  json_line
+    [
+      ("serve", String "stats"); ("served", Int stats.served);
+      ("cache_hits", Int stats.hits); ("cache_misses", Int stats.misses);
+      ("connections", Int stats.connections); ("shed", Int stats.shed);
+      ("degraded", Int stats.degraded); ("deadlines", Int stats.deadlines);
+      ("failed", Int stats.failed); ("quarantined", Int stats.quarantined);
+      ("cache_entries", Int (Util.Diskcache.length cache));
+    ]
 
 let health_text stats ~cache ~workers ~queue ~uptime_s =
-  Printf.sprintf
-    "{\"serve\":\"health\",\"uptime_s\":%d,\"queue\":%d,\"workers\":%d,\
-     \"can_fork\":%b,\"cache_entries\":%d,\"served\":%d,\"shed\":%d,\
-     \"degraded\":%d,\"quarantined\":%d}\n"
-    uptime_s queue workers
-    (Util.Cluster.can_fork ())
-    (Util.Diskcache.length cache)
-    stats.served stats.shed stats.degraded stats.quarantined
+  json_line
+    [
+      ("serve", String "health"); ("uptime_s", Int uptime_s);
+      ("queue", Int queue); ("workers", Int workers);
+      ("can_fork", Bool (Util.Cluster.can_fork ()));
+      ("cache_entries", Int (Util.Diskcache.length cache));
+      ("served", Int stats.served); ("shed", Int stats.shed);
+      ("degraded", Int stats.degraded); ("quarantined", Int stats.quarantined);
+    ]
 
 (* -- daemon-side chaos -------------------------------------------------- *)
 

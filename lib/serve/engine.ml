@@ -73,26 +73,9 @@ let faultsim_text ?workers ~algo ~n ~seed ~fault_seed ~crash ~sever ~retries
        with
       | Error e -> Error (Fault.Error.to_string e)
       | Ok o ->
-        let r = o.Local.Runner.report in
         Ok
-          (Fault.Json.to_string
-             (Fault.Json.Obj
-                [
-                  ("faultsim", String "local");
-                  ("algo", String algo);
-                  ("n", Int n);
-                  ("plan", Fault.Plan.to_json r.Local.Runner.applied);
-                  ("radius", Int o.Local.Runner.r_radius_used);
-                  ("ok", Int r.Local.Runner.ok_nodes);
-                  ("crashed", Int r.Local.Runner.crashed_nodes);
-                  ("starved", Int r.Local.Runner.starved_nodes);
-                  ("errored", Int r.Local.Runner.errored_nodes);
-                  ("severed_edges", Int r.Local.Runner.severed_edges);
-                  ("retries_used", Int r.Local.Runner.retries_used);
-                  ("healthy_violations",
-                   Int (List.length o.Local.Runner.healthy_violations));
-                ])
-           ^ "\n"))
+          (Json.to_string (Obj (Local.Runner.faultsim_fields ~algo ~n o))
+          ^ "\n"))
 
 (* Text of one request, bypassing any cache. [Error] here means the
    REQUEST was bad (F400); exceptions are internal failures (F403) and

@@ -88,7 +88,10 @@ val write_response : Unix.file_descr -> response -> unit
 val read_response : Unix.file_descr -> response option
 
 (** Decode one marshaled envelope payload (a [Framing] frame body), as
-    fed by the daemon's incremental decoder. *)
+    fed by the daemon's incremental decoder.
+    @raise Invalid_argument on a payload shorter than its Marshal
+    header or data size (the zero-length frame included), [Failure] on
+    a bad header. *)
 val envelope_of_payload : string -> envelope
 
 (** The marshaled bytes of a request frame, for clients that need to

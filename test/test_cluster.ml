@@ -734,8 +734,9 @@ let contains text needle =
   in
   go 0
 
-(* Regression: a client killed mid-frame must cost only its own
-   connection — the select loop keeps serving everyone else. *)
+(* Regression: a client killed mid-frame, or one sending a frame too
+   short to decode, must cost only its own connection — the select
+   loop keeps serving everyone else. *)
 let test_daemon_mid_frame_disconnect () =
   with_daemon (fun sock ->
       let enc =
@@ -743,15 +744,15 @@ let test_daemon_mid_frame_disconnect () =
           { problem = "3-coloring" })
       in
       (* half a header, then vanish; then a full frame, then vanish
-         before reading the answer *)
+         before reading the answer; then a zero-length frame *)
       List.iter
-        (fun cut ->
+        (fun bytes ->
           let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
           Unix.connect fd (Unix.ADDR_UNIX sock);
-          ignore (Unix.write_substring fd enc 0 cut);
+          ignore (Unix.write_substring fd bytes 0 (String.length bytes));
           Unix.close fd;
           ignore (Unix.select [] [] [] 0.05))
-        [ 2; String.length enc ];
+        [ String.sub enc 0 2; enc; "\000\000\000\000" ];
       (* the daemon is still alive and still answers *)
       match
         Serve.Daemon.request ~recv_timeout_s:10. ~socket_path:sock

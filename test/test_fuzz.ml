@@ -113,6 +113,27 @@ let test_oracle_report_byte_stable () =
   in
   check string "identical report lines" (line ()) (line ())
 
+(* A divergence detail is free text — the resilient leg builds it from
+   [Fault.Error.to_string] — so the report line must escape it. *)
+let test_oracle_report_escapes_detail () =
+  let detail = {|node 3: F103 "algorithm raised" at C:\tmp\x|} in
+  let r =
+    {
+      Fuzz.Oracle.case_index = 0; graph = "path:4"; n = 4; problem_delta = 2;
+      source_digest = "s"; label_digest = "l"; violations = 0; radius = 1;
+      classify_digest = "c"; configs_run = [ "seq"; "resilient" ];
+      divergences = [ { config_a = "seq"; config_b = "resilient"; detail } ];
+    }
+  in
+  match Json.of_string (Fuzz.Oracle.result_to_json r) with
+  | exception Json.Parse_error m -> fail ("report line is not JSON: " ^ m)
+  | line -> (
+    match Json.member "divergences" line with
+    | Some (Json.List [ d ]) ->
+      check (option string) "detail read back" (Some detail)
+        (Option.bind (Json.member "detail" d) Json.to_str)
+    | _ -> fail "the report line lost its divergence")
+
 let test_oracle_injected_break () =
   let case = Fuzz.Gen.case ~seed:0xBEEF ~index:0 in
   let r =
@@ -325,6 +346,8 @@ let suites =
       [
         test_case "clean matrix" `Quick test_oracle_clean_matrix;
         test_case "byte-stable report" `Quick test_oracle_report_byte_stable;
+        test_case "report escapes detail" `Quick
+          test_oracle_report_escapes_detail;
         test_case "injected break diverges" `Quick test_oracle_injected_break;
         test_case "only filter" `Quick test_oracle_only_filter;
         test_case "subprocess isolation" `Quick test_in_subprocess;

@@ -1,4 +1,5 @@
-(* Tests for the [util] substrate: log*, PRNG, multisets, bitsets. *)
+(* Tests for the [util] substrate (log*, PRNG, multisets, bitsets) and
+   the [json] codec. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -289,6 +290,77 @@ let test_subsets_nonempty () =
        (fun s -> not (Util.Bitset.is_empty s))
        (Util.Bitset.subsets_nonempty 5))
 
+(* -- Json ----------------------------------------------------------- *)
+
+(* Trees over every leaf kind: strings and keys drawn from all 256 byte
+   values, the int extremes, finite floats (integral ones of every
+   magnitude, so >= 1e15 included), nested lists and objects. *)
+let json_gen =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_bound 10) in
+  let finite = map (fun x -> if Float.is_finite x then x else 0.5) float in
+  let leaf =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) int;
+        oneofl [ Json.Int min_int; Json.Int max_int ];
+        map (fun x -> Json.Float x) finite;
+        map (fun i -> Json.Float (float_of_int i)) int;
+        map (fun s -> Json.String s) str;
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           let children g = list_size (int_bound 4) g in
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (children (self (n / 3))));
+               ( 1,
+                 map (fun kvs -> Json.Obj kvs)
+                   (children (pair str (self (n / 3)))) );
+             ])
+
+let arb_json =
+  QCheck.make ~print:(fun v -> String.escaped (Json.to_string v)) json_gen
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"of_string inverts to_string" ~count:500 arb_json
+    (fun v -> Json.of_string (Json.to_string v) = v)
+
+let prop_json_prefixes =
+  QCheck.Test.make ~name:"proper prefixes of containers raise Parse_error"
+    ~count:200 arb_json (fun v ->
+      List.for_all
+        (fun doc ->
+          let text = Json.to_string doc in
+          List.for_all
+            (fun len ->
+              match Json.of_string (String.sub text 0 len) with
+              | _ -> false
+              | exception Json.Parse_error _ -> true)
+            (List.init (String.length text) Fun.id))
+        [ Json.List [ v ]; Json.Obj [ ("k", v) ] ])
+
+let test_json_floats () =
+  let text x = Json.to_string (Json.Float x) in
+  List.iter
+    (fun (x, want) -> check Alcotest.string want want (text x))
+    [
+      (3.0, "3.0"); (-0.0, "-0.0"); (0.1, "0.1"); (1e14, "100000000000000.0");
+      (1e15, "1e+15"); (nan, "null"); (infinity, "null");
+      (neg_infinity, "null");
+    ];
+  (* integral floats past 1e15 read back as floats, not ints *)
+  List.iter
+    (fun x ->
+      check bool (text x) true (Json.of_string (text x) = Json.Float x))
+    [ 1e15; 4e15 +. 1.; -1e17; 2. ** 62. ]
+
 let suites =
   [
     ( "util.unit",
@@ -315,6 +387,10 @@ let suites =
           test_bitset_build_validation;
         Alcotest.test_case "subsets_nonempty" `Quick test_subsets_nonempty;
       ] );
+    ( "json",
+      Alcotest.test_case "float rendering" `Quick test_json_floats
+      :: List.map QCheck_alcotest.to_alcotest
+           [ prop_json_roundtrip; prop_json_prefixes ] );
     Helpers.qsuite "util.prop"
       [
         prop_tower_inverse;
