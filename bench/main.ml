@@ -580,6 +580,47 @@ let e10 () =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
+(* The paired timing protocol of E11-E14.                               *)
+
+(* Interleaved min-of-pairs with the GC forced to a clean point before
+   every sample: without [Gc.full_major] the major-slice debt of one
+   configuration's garbage lands in the other's timed window (a
+   systematic >10% bias either way), and each min then picks the
+   cleanest — unpreempted, collection-free — window per configuration.
+   The order inside a pair alternates so neither configuration always
+   runs on a freshly compacted heap. *)
+let paired ?(pairs = 15) a b =
+  let t_a = ref infinity and t_b = ref infinity in
+  let sample t f =
+    Gc.full_major ();
+    t := min !t (f ())
+  in
+  for i = 0 to pairs - 1 do
+    if i land 1 = 0 then (sample t_a a; sample t_b b)
+    else (sample t_b b; sample t_a a)
+  done;
+  (!t_a, !t_b)
+
+(* [paired], retried up to four attempts while [score] fails [pass]: a
+   real regression fails every attempt, a multi-second
+   frequency/scheduling dip on a shared box does not. *)
+let gated_pairs ~score ~pass ~show a b =
+  let rec attempt k =
+    let t_a, t_b = paired a b in
+    let v = score t_a t_b in
+    if pass v || k >= 4 then (t_a, t_b, v)
+    else begin
+      Printf.printf "  (attempt %d read %s — noisy window, re-measuring)\n%!"
+        k (show v);
+      attempt (k + 1)
+    end
+  in
+  attempt 1
+
+(* How much slower [t] is than [base], in percent. *)
+let pct t base = (t -. base) /. max 1e-9 base *. 100.
+
+(* ------------------------------------------------------------------ *)
 (* E11 — fault-injection overhead and degradation on the grid workload. *)
 
 (* The resilient runner must be free when faults are off: with an empty
@@ -618,51 +659,14 @@ let e11 () =
     (resilient Fault.Plan.empty ()).Local.Runner.r_stats
       .Local.Runner.simulate_seconds
   in
-  (* Interleaved min-of-pairs with the GC forced to a clean point
-     before every sample: without [Gc.full_major] the major-slice debt
-     of one configuration's garbage lands in the other's timed window
-     (a systematic >10% bias either way), and each min then picks the
-     cleanest — unpreempted, collection-free — window per
-     configuration. The order inside a pair alternates so neither
-     configuration always runs on a freshly compacted heap. The whole
-     measurement retries on an over-budget reading: a real regression
-     fails every attempt, a multi-second frequency/scheduling dip on a
-     shared box does not. *)
   ignore (plain ());
   ignore (resilient_empty ());
-  let measure () =
-    let pairs = 15 in
-    let t_plain = ref infinity and t_empty = ref infinity in
-    for i = 0 to pairs - 1 do
-      let sample_plain () =
-        Gc.full_major ();
-        t_plain := min !t_plain (plain ())
-      and sample_empty () =
-        Gc.full_major ();
-        t_empty := min !t_empty (resilient_empty ())
-      in
-      if i land 1 = 0 then begin
-        sample_plain ();
-        sample_empty ()
-      end
-      else begin
-        sample_empty ();
-        sample_plain ()
-      end
-    done;
-    (!t_plain, !t_empty)
+  let t_plain, t_empty, overhead =
+    gated_pairs
+      ~score:(fun t_plain t_empty -> pct t_empty t_plain)
+      ~pass:(fun o -> o < 5.0)
+      ~show:(Printf.sprintf "%.1f%%") plain resilient_empty
   in
-  let rec attempt k (t_plain, t_empty) =
-    let overhead = (t_empty -. t_plain) /. max 1e-9 t_plain *. 100. in
-    if overhead < 5.0 || k >= 4 then (t_plain, t_empty, overhead)
-    else begin
-      Printf.printf
-        "  (attempt %d read %.1f%% — noisy window, re-measuring)\n%!" k
-        overhead;
-      attempt (k + 1) (measure ())
-    end
-  in
-  let t_plain, t_empty, overhead = attempt 1 (measure ()) in
   let spec = Fault.Plan.spec ~crash:0.05 ~sever:0.05 () in
   let plan = Fault.Plan.generate ~label:"bench-e11" ~seed:11 ~spec g in
   let faulty = resilient plan () in
@@ -703,9 +707,9 @@ let e11 () =
    never per-node. The baseline is an inline replica of [run]'s
    sequential simulate core with no instrumentation at all, timed
    against the instrumented [Local.Runner.run] (obs disabled) under
-   E11's GC-normalized min-of-pairs protocol; the budget is 2%. The
-   obs-enabled time is also measured, informationally — spans and
-   aggregate metrics are cheap even when on. *)
+   the GC-normalized min-of-pairs protocol ([paired]); the budget is
+   2%. The obs-enabled time is also measured, informationally — spans
+   and aggregate metrics are cheap even when on. *)
 
 let e12 () =
   section "E12  observability: disabled-path overhead (budget 2%)";
@@ -748,39 +752,12 @@ let e12 () =
   in
   ignore (replica ());
   ignore (instrumented ());
-  let measure () =
-    let pairs = 15 in
-    let t_plain = ref infinity and t_inst = ref infinity in
-    for i = 0 to pairs - 1 do
-      let sample_plain () =
-        Gc.full_major ();
-        t_plain := min !t_plain (replica ())
-      and sample_inst () =
-        Gc.full_major ();
-        t_inst := min !t_inst (instrumented ())
-      in
-      if i land 1 = 0 then begin
-        sample_plain ();
-        sample_inst ()
-      end
-      else begin
-        sample_inst ();
-        sample_plain ()
-      end
-    done;
-    (!t_plain, !t_inst)
+  let t_plain, t_inst, overhead =
+    gated_pairs
+      ~score:(fun t_plain t_inst -> pct t_inst t_plain)
+      ~pass:(fun o -> o < 2.0)
+      ~show:(Printf.sprintf "%.1f%%") replica instrumented
   in
-  let rec attempt k (t_plain, t_inst) =
-    let overhead = (t_inst -. t_plain) /. max 1e-9 t_plain *. 100. in
-    if overhead < 2.0 || k >= 4 then (t_plain, t_inst, overhead)
-    else begin
-      Printf.printf
-        "  (attempt %d read %.1f%% — noisy window, re-measuring)\n%!" k
-        overhead;
-      attempt (k + 1) (measure ())
-    end
-  in
-  let t_plain, t_inst, overhead = attempt 1 (measure ()) in
   (* informational: the same run with the switch on and a trace recorded *)
   Obs.enable ();
   Obs.reset ();
@@ -877,7 +854,7 @@ let e13 () =
       labels_ok cache_ok;
     exit 1
   end;
-  (* timing half: E11's GC-normalized interleaved min-of-pairs *)
+  (* timing half: the GC-normalized interleaved min-of-pairs *)
   let echo_csr () =
     (csr ~memo:true ~problem:echo_p echo).Local.Runner.stats
       .Local.Runner.simulate_seconds
@@ -891,39 +868,14 @@ let e13 () =
     (Seed_baseline.run ~ids_arr:tids ~algo:color sg)
       .Seed_baseline.simulate_seconds
   in
-  let paired ?(pairs = 15) fast slow =
-    let t_fast = ref infinity and t_slow = ref infinity in
-    for i = 0 to pairs - 1 do
-      let sample_fast () =
-        Gc.full_major ();
-        t_fast := min !t_fast (fast ())
-      and sample_slow () =
-        Gc.full_major ();
-        t_slow := min !t_slow (slow ())
-      in
-      if i land 1 = 0 then begin
-        sample_fast ();
-        sample_slow ()
-      end
-      else begin
-        sample_slow ();
-        sample_fast ()
-      end
-    done;
-    (!t_fast, !t_slow)
-  in
   ignore (echo_csr ());
   ignore (echo_seed ());
-  let rec attempt k (t_csr, t_seed) =
-    let speedup = t_seed /. max 1e-9 t_csr in
-    if speedup >= 5.0 || k >= 4 then (t_csr, t_seed, speedup)
-    else begin
-      Printf.printf
-        "  (attempt %d read %.2fx — noisy window, re-measuring)\n%!" k speedup;
-      attempt (k + 1) (paired echo_csr echo_seed)
-    end
+  let t_csr, t_seed, speedup =
+    gated_pairs
+      ~score:(fun t_csr t_seed -> t_seed /. max 1e-9 t_csr)
+      ~pass:(fun s -> s >= 5.0)
+      ~show:(Printf.sprintf "%.2fx") echo_csr echo_seed
   in
-  let t_csr, t_seed, speedup = attempt 1 (paired echo_csr echo_seed) in
   ignore (color_csr ());
   ignore (color_seed ());
   (* the coloring row is reported, not gated: at million-node sides a
@@ -1028,87 +980,49 @@ let e14 () =
   end;
   (* timing half: min-of-pairs, fewer pairs at million-node sides
      where one coloring run is tens of seconds *)
-  let pairs = if n >= 200_000 then 2 else 5 in
-  let t1 = ref infinity and t4 = ref infinity in
-  for i = 0 to pairs - 1 do
-    let s1 () =
-      Gc.full_major ();
-      t1 := min !t1 (fst (run_wall ~workers:1))
-    and s4 () =
-      Gc.full_major ();
-      t4 := min !t4 (fst (run_wall ~workers:4))
-    in
-    if i land 1 = 0 then (s1 (); s4 ()) else (s4 (); s1 ())
-  done;
-  let speedup = !t1 /. max 1e-9 !t4 in
+  let t1, t4 =
+    paired
+      ~pairs:(if n >= 200_000 then 2 else 5)
+      (fun () -> fst (run_wall ~workers:1))
+      (fun () -> fst (run_wall ~workers:4))
+  in
+  let speedup = t1 /. max 1e-9 t4 in
   let gated = cores >= 2 && n >= 1_000_000 in
   (* serve leg: cold Simulate computed once by a forked daemon, then
      the identical request answered from the persistent cache *)
-  let pid = Unix.getpid () in
-  let sock = Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "lcl-e14-%d.sock" pid)
-  and cachef = Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "lcl-e14-%d.cache" pid)
-  in
-  List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ sock; cachef ];
-  let daemon =
-    match Unix.fork () with
-    | 0 ->
-      (try
-         ignore
-           (Serve.Daemon.serve ~socket_path:sock ~cache_path:cachef
-              ~poll_interval:0.02 ())
-       with _ -> Unix._exit 1);
-      Unix._exit 0
-    | p -> p
-  in
-  let rec await tries =
-    if Sys.file_exists sock then ()
-    else if tries = 0 then begin
-      print_endline "E14: serve daemon never came up";
-      exit 1
-    end
-    else begin
-      ignore (Unix.select [] [] [] 0.02);
-      await (tries - 1)
-    end
-  in
-  await 250;
   let req =
     Serve.Protocol.Simulate { algo = "cv-coloring"; n = 400_000; seed = 7 }
   in
-  let timed_request () =
+  let timed_request sock =
     let t0 = Unix.gettimeofday () in
     match Serve.Daemon.request ~socket_path:sock req with
     | Serve.Protocol.Answer body -> (Unix.gettimeofday () -. t0, body)
     | r ->
-      Printf.printf "E14: serve request failed: %s\n"
-        (Serve.Protocol.response_to_string r);
+      failwith
+        ("serve request failed: " ^ Serve.Protocol.response_to_string r)
+  in
+  let (t_cold, body_cold), warm =
+    try
+      Serve.Daemon.with_forked (fun sock ->
+          let cold = timed_request sock in
+          (cold, List.init 5 (fun _ -> timed_request sock)))
+    with Failure m ->
+      print_endline ("E14: " ^ m);
       exit 1
   in
-  let t_cold, body_cold = timed_request () in
-  let t_warm = ref infinity and body_warm = ref "" in
-  for _ = 1 to 5 do
-    let t, b = timed_request () in
-    if t < !t_warm then t_warm := t;
-    body_warm := b
-  done;
-  let warm_identical = !body_warm = body_cold in
-  ignore (Serve.Daemon.request ~socket_path:sock Serve.Protocol.Shutdown);
-  (try ignore (Unix.waitpid [] daemon)
-   with Unix.Unix_error (Unix.ECHILD, _, _) -> ());
-  List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ sock; cachef ];
-  let warm_ratio = t_cold /. max 1e-9 !t_warm in
+  let t_warm = List.fold_left (fun t (t', _) -> min t t') infinity warm in
+  let warm_identical = List.for_all (fun (_, b) -> b = body_cold) warm in
+  let warm_ratio = t_cold /. max 1e-9 t_warm in
   table
     ~header:[ "leg"; "cold/1-proc"; "warm/4-proc"; "ratio"; "gate" ]
     [
       [ Printf.sprintf "coloring n=%d, 4 workers" n;
-        Printf.sprintf "%.2f s" !t1; Printf.sprintf "%.2f s" !t4;
+        Printf.sprintf "%.2f s" t1; Printf.sprintf "%.2f s" t4;
         Printf.sprintf "%.2fx" speedup;
         (if gated then "1.7x"
          else Printf.sprintf "reported (cores=%d, n=%d)" cores n) ];
       [ "serve repeat vs cold simulate"; Printf.sprintf "%.1f ms" (t_cold *. 1e3);
-        Printf.sprintf "%.2f ms" (!t_warm *. 1e3);
+        Printf.sprintf "%.2f ms" (t_warm *. 1e3);
         Printf.sprintf "%.0fx" warm_ratio; "50x" ];
     ];
   if not warm_identical then begin
@@ -1128,7 +1042,7 @@ let e14 () =
      \"cores\":%d,\"single_s\":%.6f,\"workers4_s\":%.6f,\"speedup\":%.2f,\
      \"speedup_gated\":%b,\"serve_cold_s\":%.6f,\"serve_warm_s\":%.6f,\
      \"warm_ratio\":%.1f,\"labels_identical\":%b,\"warm_identical\":%b}\n"
-    n cores !t1 !t4 speedup gated t_cold !t_warm warm_ratio labels_ok
+    n cores t1 t4 speedup gated t_cold t_warm warm_ratio labels_ok
     warm_identical;
   if (gated && speedup < 1.7) || warm_ratio < 50. || not warm_identical then
     exit 1;
@@ -1142,55 +1056,6 @@ let e14 () =
 
 let e16 () =
   section "E16  serve robustness: fault-free overhead of the armed daemon";
-  let pid = Unix.getpid () in
-  let with_daemon tag config f =
-    let sock =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "lcl-e16-%s-%d.sock" tag pid)
-    and cachef =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "lcl-e16-%s-%d.cache" tag pid)
-    in
-    List.iter (fun p -> try Sys.remove p with Sys_error _ -> ())
-      [ sock; cachef ];
-    let daemon =
-      match Unix.fork () with
-      | 0 ->
-        (try
-           ignore
-             (Serve.Daemon.serve ~socket_path:sock ~cache_path:cachef ~config
-                ~poll_interval:0.005 ())
-         with _ -> Unix._exit 1);
-        Unix._exit 0
-      | p -> p
-    in
-    let rec await tries =
-      if Sys.file_exists sock then ()
-      else if tries = 0 then begin
-        print_endline "E16: serve daemon never came up";
-        exit 1
-      end
-      else begin
-        ignore (Unix.select [] [] [] 0.02);
-        await (tries - 1)
-      end
-    in
-    await 250;
-    (* the daemon holds our stdout pipe: it must die even when the
-       measurement aborts, or the harness hangs waiting for EOF *)
-    Fun.protect
-      ~finally:(fun () ->
-        (try
-           ignore
-             (Serve.Daemon.request ~recv_timeout_s:10. ~socket_path:sock
-                Serve.Protocol.Shutdown)
-         with _ -> ());
-        (try ignore (Unix.waitpid [] daemon)
-         with Unix.Unix_error (Unix.ECHILD, _, _) -> ());
-        List.iter (fun p -> try Sys.remove p with Sys_error _ -> ())
-          [ sock; cachef ])
-      (fun () -> f sock)
-  in
   let sim seed =
     Serve.Protocol.Simulate { algo = "cv-coloring"; n = 200_000; seed }
   in
@@ -1210,7 +1075,7 @@ let e16 () =
       | Serve.Protocol.Answer _ -> ()
       | r ->
         failwith
-          (Printf.sprintf "E16: cold request failed: %s"
+          (Printf.sprintf "cold request failed: %s"
              (Serve.Protocol.response_to_string r)));
       let dt = Unix.gettimeofday () -. t0 in
       if dt < !cold then cold := dt
@@ -1232,7 +1097,7 @@ let e16 () =
           | Serve.Protocol.Answer _ -> ()
           | r ->
             failwith
-              (Printf.sprintf "E16: warm request failed: %s"
+              (Printf.sprintf "warm request failed: %s"
                  (Serve.Protocol.response_to_string r)))
         rs;
       if dt < !warm then warm := dt
@@ -1248,22 +1113,27 @@ let e16 () =
       max_pending = 256;
     }
   in
+  let measure_daemon config =
+    try Serve.Daemon.with_forked ~config measure
+    with Failure m ->
+      print_endline ("E16: " ^ m);
+      exit 1
+  in
   (* interleave plain/armed pairs so drift hits both configurations *)
   let cold_p = ref infinity and warm_p = ref infinity in
   let cold_a = ref infinity and warm_a = ref infinity in
   for i = 0 to 2 do
     let p () =
-      let c, w = with_daemon "plain" plain measure in
+      let c, w = measure_daemon plain in
       cold_p := min !cold_p c;
       warm_p := min !warm_p w
     and a () =
-      let c, w = with_daemon "armed" armed measure in
+      let c, w = measure_daemon armed in
       cold_a := min !cold_a c;
       warm_a := min !warm_a w
     in
     if i land 1 = 0 then (p (); a ()) else (a (); p ())
   done;
-  let pct a b = (a -. b) /. max 1e-9 b *. 100. in
   let warm_over = pct !warm_a !warm_p and cold_over = pct !cold_a !cold_p in
   table
     ~header:[ "leg"; "plain"; "armed"; "overhead"; "gate" ]

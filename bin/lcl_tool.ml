@@ -1207,17 +1207,6 @@ let chaos_soak_cmd =
   let run socket seed requests kill stall torn drop cache_corrupt disk_full
       workers max_pending cluster_timeout_ms counters () =
     if Sys.unix then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-    let pid = Unix.getpid () in
-    let tmp = Filename.get_temp_dir_name () in
-    let sock =
-      if socket = "lcl_serve.sock" then
-        Filename.concat tmp (Printf.sprintf "lcl-soak-%d.sock" pid)
-      else socket
-    in
-    let cachef = Filename.concat tmp (Printf.sprintf "lcl-soak-%d.cache" pid) in
-    List.iter
-      (fun p -> try Sys.remove p with Sys_error _ -> ())
-      [ sock; cachef ];
     let spec =
       Fault.Service.spec ~kill ~stall ~torn ~drop ~cache_corrupt ~disk_full
         ~ranks:(match workers with Some w -> max 1 w | None -> 4)
@@ -1232,29 +1221,6 @@ let chaos_soak_cmd =
         chaos = plan;
       }
     in
-    let daemon =
-      match Unix.fork () with
-      | 0 ->
-        (try
-           ignore
-             (Serve.Daemon.serve ~socket_path:sock ~cache_path:cachef ?workers
-                ~config ~poll_interval:0.02 ())
-         with _ -> Unix._exit 1);
-        Unix._exit 0
-      | p -> p
-    in
-    let rec await tries =
-      if Sys.file_exists sock then ()
-      else if tries = 0 then begin
-        Fmt.epr "chaos-soak: daemon never came up@.";
-        exit 1
-      end
-      else begin
-        ignore (Unix.select [] [] [] 0.02);
-        await (tries - 1)
-      end
-    in
-    await 250;
     (* seeded request mix: cheap, cache-heavy, with a deliberate
        bad-request leg so the F400 path soaks too *)
     let rng = Util.Prng.create ~seed:(seed lxor 0x50AB) in
@@ -1291,139 +1257,143 @@ let chaos_soak_cmd =
       | _ -> Serve.Protocol.Simulate { algo = "no-such-algo"; n = 64; seed = 0 }
     in
     let mix = List.init requests (fun _ -> draw_request ()) in
-    (* client-side fault injections *)
-    let with_raw_socket f =
-      match Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 with
-      | fd ->
-        (try
-           Unix.connect fd (Unix.ADDR_UNIX sock);
-           f fd
-         with Unix.Unix_error _ -> ());
-        (try Unix.close fd with Unix.Unix_error _ -> ())
-      | exception Unix.Unix_error _ -> ()
-    in
-    let send_torn req =
-      with_raw_socket (fun fd ->
-          let enc = Serve.Protocol.encode_request req in
-          let k = min 3 (String.length enc - 1) in
-          ignore (Unix.write_substring fd enc 0 k))
-    in
-    let send_and_drop req =
-      with_raw_socket (fun fd ->
-          let enc = Serve.Protocol.encode_request req in
-          ignore (Unix.write_substring fd enc 0 (String.length enc)))
-    in
     (* the soak proper *)
     let answered = ref 0 and failed = ref 0 and deadline = ref 0 in
     let overloaded = ref 0 and aborted = ref 0 and degraded = ref 0 in
     let transport_failures = ref 0 and internal_failures = ref 0 in
     let recorded : (Serve.Protocol.request * string) list ref = ref [] in
     let digest_buf = Buffer.create 4096 in
-    List.iteri
-      (fun i req ->
-        let client_events =
-          List.filter Fault.Service.client_side (Fault.Service.at plan i)
-        in
-        match client_events with
-        | Fault.Service.Torn_frame :: _ ->
-          send_torn req;
-          incr aborted;
-          (* let the daemon reap the dead connection before the next
-             request so dispatch order stays stable *)
-          ignore (Unix.select [] [] [] 0.03)
-        | Fault.Service.Drop_connection :: _ ->
-          send_and_drop req;
-          incr aborted;
-          ignore (Unix.select [] [] [] 0.03)
-        | _ -> (
-          match
-            Serve.Daemon.request ~recv_timeout_s:30. ~socket_path:sock req
-          with
-          | Serve.Protocol.Answer text ->
-            incr answered;
-            Buffer.add_string digest_buf text;
-            recorded := (req, text) :: !recorded
-          | Serve.Protocol.Degraded { text; _ } ->
-            (* same bytes as the healthy answer: count as answered in
-               the stable report, tally separately for --counters *)
-            incr answered;
-            incr degraded;
-            Buffer.add_string digest_buf text;
-            recorded := (req, text) :: !recorded
-          | Serve.Protocol.Failed { code; message } ->
-            incr failed;
-            if code = "F401" then begin
-              incr transport_failures;
-              Fmt.epr "soak request %d: transport failure: %s@." i message
-            end
-            else if code = "F403" then begin
-              incr internal_failures;
-              Fmt.epr "soak request %d: internal failure: %s@." i message
-            end
-          | Serve.Protocol.Deadline_exceeded _ -> incr deadline
-          | Serve.Protocol.Overloaded _ -> incr overloaded))
-      mix;
-    (* overload leg: one atomic batch write twice the admission cap —
-       the tail must shed with typed Overloaded answers *)
     let overload_sent = 2 * max_pending in
-    let overload_answers =
-      Serve.Daemon.request_batch ~recv_timeout_s:30. ~socket_path:sock
-        (List.init overload_sent (fun _ -> Serve.Protocol.Ping))
+    let soak sock =
+      (* client-side fault injections *)
+      let with_raw_socket f =
+        match Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 with
+        | fd ->
+          (try
+             Unix.connect fd (Unix.ADDR_UNIX sock);
+             f fd
+           with Unix.Unix_error _ -> ());
+          (try Unix.close fd with Unix.Unix_error _ -> ())
+        | exception Unix.Unix_error _ -> ()
+      in
+      let send_torn req =
+        with_raw_socket (fun fd ->
+            let enc = Serve.Protocol.encode_request req in
+            let k = min 3 (String.length enc - 1) in
+            ignore (Unix.write_substring fd enc 0 k))
+      in
+      let send_and_drop req =
+        with_raw_socket (fun fd ->
+            let enc = Serve.Protocol.encode_request req in
+            ignore (Unix.write_substring fd enc 0 (String.length enc)))
+      in
+      List.iteri
+        (fun i req ->
+          let client_events =
+            List.filter Fault.Service.client_side (Fault.Service.at plan i)
+          in
+          match client_events with
+          | Fault.Service.Torn_frame :: _ ->
+            send_torn req;
+            incr aborted;
+            (* let the daemon reap the dead connection before the next
+               request so dispatch order stays stable *)
+            ignore (Unix.select [] [] [] 0.03)
+          | Fault.Service.Drop_connection :: _ ->
+            send_and_drop req;
+            incr aborted;
+            ignore (Unix.select [] [] [] 0.03)
+          | _ -> (
+            match
+              Serve.Daemon.request ~recv_timeout_s:30. ~socket_path:sock req
+            with
+            | Serve.Protocol.Answer text ->
+              incr answered;
+              Buffer.add_string digest_buf text;
+              recorded := (req, text) :: !recorded
+            | Serve.Protocol.Degraded { text; _ } ->
+              (* same bytes as the healthy answer: count as answered in
+                 the stable report, tally separately for --counters *)
+              incr answered;
+              incr degraded;
+              Buffer.add_string digest_buf text;
+              recorded := (req, text) :: !recorded
+            | Serve.Protocol.Failed { code; message } ->
+              incr failed;
+              if code = "F401" then begin
+                incr transport_failures;
+                Fmt.epr "soak request %d: transport failure: %s@." i message
+              end
+              else if code = "F403" then begin
+                incr internal_failures;
+                Fmt.epr "soak request %d: internal failure: %s@." i message
+              end
+            | Serve.Protocol.Deadline_exceeded _ -> incr deadline
+            | Serve.Protocol.Overloaded _ -> incr overloaded))
+        mix;
+      (* overload leg: one atomic batch write twice the admission cap —
+         the tail must shed with typed Overloaded answers *)
+      let overload_answers =
+        Serve.Daemon.request_batch ~recv_timeout_s:30. ~socket_path:sock
+          (List.init overload_sent (fun _ -> Serve.Protocol.Ping))
+      in
+      let overload_ok =
+        List.length
+          (List.filter
+             (function Serve.Protocol.Answer _ -> true | _ -> false)
+             overload_answers)
+      in
+      let overload_shed =
+        List.length
+          (List.filter
+             (function Serve.Protocol.Overloaded _ -> true | _ -> false)
+             overload_answers)
+      in
+      (* warm replay: every recorded answer must come back byte-identical
+         (these ordinals are past the plan, so no chaos fires) *)
+      let warm_identical =
+        List.for_all
+          (fun (req, text) ->
+            match
+              Serve.Daemon.request ~recv_timeout_s:30. ~socket_path:sock req
+            with
+            | Serve.Protocol.Answer t | Serve.Protocol.Degraded { text = t; _ }
+              ->
+              t = text
+            | _ -> false)
+          (List.rev !recorded)
+      in
+      let health_ok =
+        match
+          Serve.Daemon.request ~recv_timeout_s:30. ~socket_path:sock
+            Serve.Protocol.Health
+        with
+        | Serve.Protocol.Answer t -> (
+          try Json.member "serve" (Json.of_string t) = Some (String "health")
+          with Json.Parse_error _ -> false)
+        | _ -> false
+      in
+      if counters then begin
+        (match
+           Serve.Daemon.request ~recv_timeout_s:30. ~socket_path:sock
+             Serve.Protocol.Stats
+         with
+        | Serve.Protocol.Answer t -> Fmt.epr "daemon %s" t
+        | _ -> ());
+        Fmt.epr "client: degraded=%d transport=%d internal=%d@." !degraded
+          !transport_failures !internal_failures
+      end;
+      (overload_ok, overload_shed, warm_identical, health_ok)
     in
-    let overload_ok =
-      List.length
-        (List.filter
-           (function Serve.Protocol.Answer _ -> true | _ -> false)
-           overload_answers)
+    let overload_ok, overload_shed, warm_identical, health_ok =
+      let socket_path =
+        if socket = "lcl_serve.sock" then None else Some socket
+      in
+      try Serve.Daemon.with_forked ?socket_path ?workers ~config soak
+      with Failure m ->
+        Fmt.epr "chaos-soak: %s@." m;
+        exit 1
     in
-    let overload_shed =
-      List.length
-        (List.filter
-           (function Serve.Protocol.Overloaded _ -> true | _ -> false)
-           overload_answers)
-    in
-    (* warm replay: every recorded answer must come back byte-identical
-       (these ordinals are past the plan, so no chaos fires) *)
-    let warm_identical =
-      List.for_all
-        (fun (req, text) ->
-          match
-            Serve.Daemon.request ~recv_timeout_s:30. ~socket_path:sock req
-          with
-          | Serve.Protocol.Answer t | Serve.Protocol.Degraded { text = t; _ }
-            ->
-            t = text
-          | _ -> false)
-        (List.rev !recorded)
-    in
-    let health_ok =
-      match
-        Serve.Daemon.request ~recv_timeout_s:30. ~socket_path:sock
-          Serve.Protocol.Health
-      with
-      | Serve.Protocol.Answer t -> (
-        try Json.member "serve" (Json.of_string t) = Some (String "health")
-        with Json.Parse_error _ -> false)
-      | _ -> false
-    in
-    if counters then begin
-      (match
-         Serve.Daemon.request ~recv_timeout_s:30. ~socket_path:sock
-           Serve.Protocol.Stats
-       with
-      | Serve.Protocol.Answer t -> Fmt.epr "daemon %s" t
-      | _ -> ());
-      Fmt.epr "client: degraded=%d transport=%d internal=%d@." !degraded
-        !transport_failures !internal_failures
-    end;
-    ignore
-      (Serve.Daemon.request ~recv_timeout_s:30. ~socket_path:sock
-         Serve.Protocol.Shutdown);
-    (try ignore (Unix.waitpid [] daemon)
-     with Unix.Unix_error (Unix.ECHILD, _, _) -> ());
-    List.iter
-      (fun p -> try Sys.remove p with Sys_error _ -> ())
-      [ sock; cachef ];
     (* the stable report: diffed verbatim by the serve-chaos CI job *)
     print_json
       [
@@ -1561,54 +1531,6 @@ let fuzz_cmd =
           ];
         if reproduces then exit 1)
   in
-  let with_daemon no_serve f =
-    if no_serve then f None
-    else begin
-      let pid = Unix.getpid () in
-      let tmp = Filename.get_temp_dir_name () in
-      let sock = Filename.concat tmp (Printf.sprintf "lcl-fuzz-%d.sock" pid) in
-      let cachef =
-        Filename.concat tmp (Printf.sprintf "lcl-fuzz-%d.cache" pid)
-      in
-      List.iter
-        (fun p -> try Sys.remove p with Sys_error _ -> ())
-        [ sock; cachef ];
-      let daemon =
-        match Unix.fork () with
-        | 0 ->
-          (try
-             ignore
-               (Serve.Daemon.serve ~socket_path:sock ~cache_path:cachef
-                  ~workers:1 ~poll_interval:0.02 ())
-           with _ -> Unix._exit 1);
-          Unix._exit 0
-        | p -> p
-      in
-      let rec await tries =
-        if Sys.file_exists sock then ()
-        else if tries = 0 then begin
-          Fmt.epr "fuzz: serve daemon never came up@.";
-          exit 2
-        end
-        else begin
-          ignore (Unix.select [] [] [] 0.02);
-          await (tries - 1)
-        end
-      in
-      await 250;
-      Fun.protect
-        ~finally:(fun () ->
-          ignore
-            (Serve.Daemon.request ~recv_timeout_s:30. ~socket_path:sock
-               Serve.Protocol.Shutdown);
-          (try ignore (Unix.waitpid [] daemon)
-           with Unix.Unix_error (Unix.ECHILD, _, _) -> ());
-          List.iter
-            (fun p -> try Sys.remove p with Sys_error _ -> ())
-            [ sock; cachef ])
-        (fun () -> f (Some sock))
-    end
-  in
   let max_repros = 5 in
   let run seed cases budget_s no_serve inject_break repro_dir replay () =
     if Sys.unix then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -1621,94 +1543,104 @@ let fuzz_cmd =
           (String.concat ", " Fuzz.Oracle.configs);
         exit 2
       | _ -> ());
-      with_daemon no_serve (fun serve ->
-          let started = Unix.gettimeofday () in
-          let digest_buf = Buffer.create 4096 in
-          let divergent = ref 0 in
-          let repros = ref [] in
-          let ran = ref 0 in
-          (try
-             for index = 0 to cases - 1 do
-               if budget_s > 0. && Unix.gettimeofday () -. started > budget_s
-               then begin
-                 Fmt.epr "fuzz: budget exhausted after %d cases@." !ran;
-                 raise Exit
-               end;
-               let case = Fuzz.Gen.case ~seed ~index in
-               let ids_seed = case_seed seed index in
-               let result =
-                 Fuzz.Oracle.run_case ~seed:ids_seed ?serve
-                   ?break_config:inject_break ~case_index:index
-                   case.Fuzz.Gen.problem case.Fuzz.Gen.spec
-               in
-               let line = Fuzz.Oracle.result_to_json result in
-               print_endline line;
-               Buffer.add_string digest_buf line;
-               Buffer.add_char digest_buf '\n';
-               if result.Fuzz.Oracle.divergences <> [] then begin
-                 incr divergent;
-                 (* minimize and persist the first matrix-leg divergence
-                    (serve-leg divergences are reported but have no
-                    two-config replay) *)
-                 match
-                   List.find_opt
-                     (fun d ->
-                       List.mem d.Fuzz.Oracle.config_a Fuzz.Oracle.configs
-                       && List.mem d.Fuzz.Oracle.config_b Fuzz.Oracle.configs)
-                     result.Fuzz.Oracle.divergences
-                 with
-                 | Some d when List.length !repros < max_repros ->
-                   let m =
-                     Fuzz.Shrink.minimize ~seed:ids_seed
-                       ?break_config:inject_break
-                       ~config_a:d.Fuzz.Oracle.config_a
-                       ~config_b:d.Fuzz.Oracle.config_b case.Fuzz.Gen.problem
-                       case.Fuzz.Gen.spec
-                   in
-                   (try Unix.mkdir repro_dir 0o755
-                    with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-                   let path =
-                     Filename.concat repro_dir
-                       (Printf.sprintf "case-%d.lclfuzz" index)
-                   in
-                   Fuzz.Repro.save ~path
-                     {
-                       Fuzz.Repro.seed = ids_seed;
-                       case_index = index;
-                       spec = m.Fuzz.Shrink.spec;
-                       config_a = d.Fuzz.Oracle.config_a;
-                       config_b = d.Fuzz.Oracle.config_b;
-                       break_config = inject_break;
-                       source = Lcl.Parse.to_string m.Fuzz.Shrink.problem;
-                     };
-                   repros := path :: !repros;
-                   Fmt.epr
-                     "fuzz: case %d diverged (%s vs %s); minimized repro \
-                      (%d steps) -> %s@."
-                     index d.Fuzz.Oracle.config_a d.Fuzz.Oracle.config_b
-                     m.Fuzz.Shrink.steps path
-                 | _ -> ()
-               end;
-               incr ran
-             done
-           with Exit -> ());
-          print_json
-            [
-              ("fuzz", String "report"); ("seed", Int seed);
-              ("cases", Int !ran); ("divergent", Int !divergent);
-              ( "configs",
-                List (List.map (fun c -> Json.String c) Fuzz.Oracle.configs) );
-              ("serve", Bool (serve <> None));
-              ( "digest",
-                String
-                  (Digest.to_hex (Digest.string (Buffer.contents digest_buf)))
-              );
-            ];
-          if !divergent > 0 then begin
-            Fmt.epr "fuzz FAILED: %d/%d cases divergent, %d repro(s) in %s@."
-              !divergent !ran (List.length !repros) repro_dir;
-            exit 1
-          end)
+      let sweep serve =
+        let started = Unix.gettimeofday () in
+        let digest_buf = Buffer.create 4096 in
+        let divergent = ref 0 in
+        let repros = ref [] in
+        let ran = ref 0 in
+        (try
+           for index = 0 to cases - 1 do
+             if budget_s > 0. && Unix.gettimeofday () -. started > budget_s
+             then begin
+               Fmt.epr "fuzz: budget exhausted after %d cases@." !ran;
+               raise Exit
+             end;
+             let case = Fuzz.Gen.case ~seed ~index in
+             let ids_seed = case_seed seed index in
+             let result =
+               Fuzz.Oracle.run_case ~seed:ids_seed ?serve
+                 ?break_config:inject_break ~case_index:index
+                 case.Fuzz.Gen.problem case.Fuzz.Gen.spec
+             in
+             let line = Fuzz.Oracle.result_to_json result in
+             print_endline line;
+             Buffer.add_string digest_buf line;
+             Buffer.add_char digest_buf '\n';
+             if result.Fuzz.Oracle.divergences <> [] then begin
+               incr divergent;
+               (* minimize and persist the first matrix-leg divergence
+                  (serve-leg divergences are reported but have no
+                  two-config replay) *)
+               match
+                 List.find_opt
+                   (fun d ->
+                     List.mem d.Fuzz.Oracle.config_a Fuzz.Oracle.configs
+                     && List.mem d.Fuzz.Oracle.config_b Fuzz.Oracle.configs)
+                   result.Fuzz.Oracle.divergences
+               with
+               | Some d when List.length !repros < max_repros ->
+                 let m =
+                   Fuzz.Shrink.minimize ~seed:ids_seed
+                     ?break_config:inject_break
+                     ~config_a:d.Fuzz.Oracle.config_a
+                     ~config_b:d.Fuzz.Oracle.config_b case.Fuzz.Gen.problem
+                     case.Fuzz.Gen.spec
+                 in
+                 (try Unix.mkdir repro_dir 0o755
+                  with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+                 let path =
+                   Filename.concat repro_dir
+                     (Printf.sprintf "case-%d.lclfuzz" index)
+                 in
+                 Fuzz.Repro.save ~path
+                   {
+                     Fuzz.Repro.seed = ids_seed;
+                     case_index = index;
+                     spec = m.Fuzz.Shrink.spec;
+                     config_a = d.Fuzz.Oracle.config_a;
+                     config_b = d.Fuzz.Oracle.config_b;
+                     break_config = inject_break;
+                     source = Lcl.Parse.to_string m.Fuzz.Shrink.problem;
+                   };
+                 repros := path :: !repros;
+                 Fmt.epr
+                   "fuzz: case %d diverged (%s vs %s); minimized repro \
+                    (%d steps) -> %s@."
+                   index d.Fuzz.Oracle.config_a d.Fuzz.Oracle.config_b
+                   m.Fuzz.Shrink.steps path
+               | _ -> ()
+             end;
+             incr ran
+           done
+         with Exit -> ());
+        print_json
+          [
+            ("fuzz", String "report"); ("seed", Int seed);
+            ("cases", Int !ran); ("divergent", Int !divergent);
+            ( "configs",
+              List (List.map (fun c -> Json.String c) Fuzz.Oracle.configs) );
+            ("serve", Bool (serve <> None));
+            ( "digest",
+              String
+                (Digest.to_hex (Digest.string (Buffer.contents digest_buf)))
+            );
+          ];
+        if !divergent > 0 then
+          Fmt.epr "fuzz FAILED: %d/%d cases divergent, %d repro(s) in %s@."
+            !divergent !ran (List.length !repros) repro_dir;
+        !divergent = 0
+      in
+      let clean =
+        if no_serve then sweep None
+        else
+          try
+            Serve.Daemon.with_forked ~workers:1 (fun sock -> sweep (Some sock))
+          with Failure m ->
+            Fmt.epr "fuzz: %s@." m;
+            exit 2
+      in
+      if not clean then exit 1
   in
   Cmd.v
     (Cmd.info "fuzz"

@@ -114,6 +114,20 @@ let literal c word value =
   end
   else fail "invalid literal at offset %d" c.pos
 
+(* The four hex digits of a \u escape starting at [at]; exactly four,
+   nothing else ([int_of_string] would also take '_' and a sign). *)
+let hex4 c at =
+  if at + 4 > String.length c.text then
+    fail "truncated \\u escape at offset %d" at;
+  let digit i =
+    match c.text.[at + i] with
+    | '0' .. '9' as ch -> Char.code ch - Char.code '0'
+    | 'a' .. 'f' as ch -> Char.code ch - Char.code 'a' + 10
+    | 'A' .. 'F' as ch -> Char.code ch - Char.code 'A' + 10
+    | _ -> fail "invalid \\u escape at offset %d" at
+  in
+  (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4) lor digit 3
+
 let parse_string_body c =
   expect c '"';
   let b = Buffer.create 16 in
@@ -135,14 +149,29 @@ let parse_string_body c =
       | Some 'b' -> Buffer.add_char b '\b'
       | Some 'f' -> Buffer.add_char b '\012'
       | Some 'u' ->
-        if c.pos + 4 >= String.length c.text then
-          fail "truncated \\u escape at offset %d" c.pos;
-        let hex = String.sub c.text (c.pos + 1) 4 in
-        (match int_of_string_opt ("0x" ^ hex) with
-        | Some code when code < 128 -> Buffer.add_char b (Char.chr code)
-        | Some _ -> Buffer.add_char b '?' (* plans are ASCII; degrade *)
-        | None -> fail "invalid \\u escape at offset %d" c.pos);
-        c.pos <- c.pos + 4
+        let hi = hex4 c (c.pos + 1) in
+        c.pos <- c.pos + 4;
+        let code =
+          if hi land 0xFC00 = 0xD800 then begin
+            (* a high surrogate must be followed by a low one *)
+            let lo =
+              if
+                c.pos + 2 < String.length c.text
+                && c.text.[c.pos + 1] = '\\'
+                && c.text.[c.pos + 2] = 'u'
+              then hex4 c (c.pos + 3)
+              else -1
+            in
+            if lo land 0xFC00 <> 0xDC00 then
+              fail "lone surrogate \\u%04x at offset %d" hi c.pos;
+            c.pos <- c.pos + 6;
+            0x10000 + ((hi - 0xD800) lsl 10) + (lo - 0xDC00)
+          end
+          else if hi land 0xFC00 = 0xDC00 then
+            fail "lone surrogate \\u%04x at offset %d" hi c.pos
+          else hi
+        in
+        Buffer.add_utf_8_uchar b (Uchar.of_int code)
       | _ -> fail "invalid escape at offset %d" c.pos);
       c.pos <- c.pos + 1;
       go ()

@@ -2,8 +2,11 @@
     every JSON document the repo emits, and the parser for fault plans
     and reports. Strings are byte strings: the printer escapes quotes,
     backslashes and control bytes and passes every other byte through,
-    so UTF-8 stays UTF-8; [\uXXXX] escapes above 127 degrade to ['?']
-    on parse. Numbers parse to [Int] when integral, [Float] otherwise. *)
+    so UTF-8 stays UTF-8. On parse, a [\uXXXX] escape (exactly four
+    hex digits) decodes to the UTF-8 bytes of its code point, a
+    surrogate pair to the one code point it encodes, and a lone
+    surrogate is a [Parse_error]. Numbers parse to [Int] when integral,
+    [Float] otherwise. *)
 
 type t =
   | Null

@@ -30,22 +30,28 @@ type stats = {
 
 type config = {
   max_pending : int;
-  retry_after_ms : int;
   default_budget_ms : int option;
   cluster_timeout_ms : int option;
-  write_timeout_s : float;
   chaos : Fault.Service.t;
 }
 
 let default_config =
   {
     max_pending = 64;
-    retry_after_ms = 50;
     default_budget_ms = None;
     cluster_timeout_ms = None;
-    write_timeout_s = 5.;
     chaos = Fault.Service.empty;
   }
+
+(* The hint carried by [Overloaded]. *)
+let retry_after_ms = 50
+
+(* [SO_SNDTIMEO] on client connections. *)
+let write_timeout_s = 5.
+
+(* [select] returns as soon as a socket is readable, so this only
+   bounds how soon [should_stop] is noticed. *)
+let poll_interval_s = 0.25
 
 let m_shed = Obs.Metrics.counter "serve.shed"
 let m_conn_dropped = Obs.Metrics.counter "serve.conn.dropped"
@@ -57,7 +63,7 @@ type conn = {
   mutable alive : bool;
 }
 
-let rec accept_pending ~write_timeout_s listen conns stats =
+let rec accept_pending listen conns stats =
   match Unix.accept ~cloexec:true listen with
   | fd, _ ->
     stats.connections <- stats.connections + 1;
@@ -65,12 +71,12 @@ let rec accept_pending ~write_timeout_s listen conns stats =
     (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO write_timeout_s
      with Unix.Unix_error _ -> ());
     conns := { fd; dec = Util.Framing.decoder (); alive = true } :: !conns;
-    accept_pending ~write_timeout_s listen conns stats
+    accept_pending listen conns stats
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception
       Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED | Unix.ECONNRESET), _, _)
     ->
-    accept_pending ~write_timeout_s listen conns stats
+    accept_pending listen conns stats
 
 let close_conn c =
   if c.alive then begin
@@ -177,8 +183,7 @@ let clear_chaos () =
   Util.Diskcache.set_write_hook None
 
 let serve ~socket_path ~cache_path ?workers ?(config = default_config)
-    ?(should_stop = fun () -> false) ?(poll_interval = 0.25)
-    ?(on_ready = fun () -> ()) () =
+    ?(should_stop = fun () -> false) ?(on_ready = fun () -> ()) () =
   let stats =
     {
       served = 0;
@@ -301,14 +306,12 @@ let serve ~socket_path ~cache_path ?workers ?(config = default_config)
         conns := List.filter (fun c -> c.alive) !conns;
         let fds = listen :: List.map (fun c -> c.fd) !conns in
         let readable =
-          match Unix.select fds [] [] poll_interval with
+          match Unix.select fds [] [] poll_interval_s with
           | r, _, _ -> r
           | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
           | exception Unix.Unix_error (Unix.EBADF, _, _) -> []
         in
-        if List.memq listen readable then
-          accept_pending ~write_timeout_s:config.write_timeout_s listen conns
-            stats;
+        if List.memq listen readable then accept_pending listen conns stats;
         (* one dispatch cycle: everything buffered right now, batched *)
         let pending =
           List.concat_map
@@ -376,9 +379,7 @@ let serve ~socket_path ~cache_path ?workers ?(config = default_config)
               | `Shed ->
                 stats.shed <- stats.shed + 1;
                 Obs.Metrics.incr m_shed;
-                respond c
-                  (Protocol.Overloaded
-                     { retry_after_ms = config.retry_after_ms })
+                respond c (Protocol.Overloaded { retry_after_ms })
               | `Engine -> (
                 match !answered with
                 | (r, src) :: rest ->
@@ -425,46 +426,6 @@ let with_connection ?recv_timeout_s ~socket_path f =
 
 let transport_failed message = Protocol.Failed { code = "F401"; message }
 
-(* One attempt: a typed response, or a transport error message. *)
-let attempt_request ?budget_ms ?recv_timeout_s ~socket_path req =
-  match
-    with_connection ?recv_timeout_s ~socket_path (fun fd ->
-        Protocol.write_request ?budget_ms fd req;
-        Protocol.read_response fd)
-  with
-  | Some r -> Ok r
-  | None -> Error "daemon closed the connection without answering"
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-    Error "timed out waiting for the daemon's answer"
-  | exception Unix.Unix_error (e, _, _) ->
-    Error
-      (Printf.sprintf "cannot reach daemon at %s: %s" socket_path
-         (Unix.error_message e))
-  | exception Util.Framing.Corrupt m -> Error ("corrupt response: " ^ m)
-
-let no_retry = Util.Backoff.create ~max_retries:0 ~seed:0 ()
-
-let request ?budget_ms ?recv_timeout_s ?(retry = no_retry) ~socket_path req :
-    Protocol.response =
-  let rec go attempt =
-    match attempt_request ?budget_ms ?recv_timeout_s ~socket_path req with
-    | Ok (Protocol.Overloaded { retry_after_ms } as r) -> (
-      (* the daemon shed us: honor its hint, bounded by our budget *)
-      match Util.Backoff.delay_ms retry ~attempt with
-      | Some ms ->
-        Util.Backoff.sleep_ms (max ms retry_after_ms);
-        go (attempt + 1)
-      | None -> r)
-    | Ok r -> r
-    | Error message -> (
-      match Util.Backoff.delay_ms retry ~attempt with
-      | Some ms ->
-        Util.Backoff.sleep_ms ms;
-        go (attempt + 1)
-      | None -> transport_failed message)
-  in
-  go 0
-
 let write_all fd s =
   let b = Bytes.of_string s in
   let len = Bytes.length b in
@@ -506,3 +467,145 @@ let request_batch ?budget_ms ?recv_timeout_s ~socket_path reqs :
     List.map (fun _ -> msg) reqs
   | exception Util.Framing.Corrupt m ->
     List.map (fun _ -> transport_failed ("corrupt response: " ^ m)) reqs
+
+let no_retry = Util.Backoff.create ~max_retries:0 ~seed:0 ()
+
+(* Each attempt is a one-element batch. F401 comes only from the
+   client side, so it marks exactly the transport failures. *)
+let request ?budget_ms ?recv_timeout_s ?(retry = no_retry) ~socket_path req :
+    Protocol.response =
+  let rec go attempt =
+    let r =
+      List.hd (request_batch ?budget_ms ?recv_timeout_s ~socket_path [ req ])
+    in
+    let again ~floor_ms =
+      match Util.Backoff.delay_ms retry ~attempt with
+      | Some ms ->
+        Util.Backoff.sleep_ms (max ms floor_ms);
+        go (attempt + 1)
+      | None -> r
+    in
+    match r with
+    | Protocol.Overloaded { retry_after_ms } ->
+      (* the daemon shed us: honor its hint, bounded by our budget *)
+      again ~floor_ms:retry_after_ms
+    | Protocol.Failed { code = "F401"; _ } -> again ~floor_ms:0
+    | _ -> r
+  in
+  go 0
+
+(* -- a forked daemon ---------------------------------------------------- *)
+
+(* Bounds both the wait for readiness and the teardown. *)
+let lifecycle_timeout_s = 10.
+
+let remove_quietly path = try Sys.remove path with Sys_error _ -> ()
+
+(* The cache file and every copy [Util.Diskcache.quarantine] moved
+   aside ([<cache>.quarantined], [<cache>.quarantined.<k>]). *)
+let remove_cache_files cache_path =
+  let dir = Filename.dirname cache_path in
+  let prefix = Filename.basename cache_path ^ ".quarantined" in
+  remove_quietly cache_path;
+  Array.iter
+    (fun f ->
+      if String.starts_with ~prefix f then
+        remove_quietly (Filename.concat dir f))
+    (try Sys.readdir dir with Sys_error _ -> [||])
+
+(* True once the child's [on_ready] wrote its byte; false on EOF (the
+   child died first) or at [deadline]. *)
+let rec await_ready fd ~deadline =
+  let left = deadline -. Unix.gettimeofday () in
+  if left <= 0. then false
+  else
+    match Unix.select [ fd ] [] [] left with
+    | [], _, _ -> await_ready fd ~deadline
+    | _ -> Unix.read fd (Bytes.create 1) 0 1 = 1
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> await_ready fd ~deadline
+
+(* Wait for [pid] until [deadline], then SIGKILL it. *)
+let rec reap pid ~deadline =
+  match Unix.waitpid [ Unix.WNOHANG ] pid with
+  | 0, _ when Unix.gettimeofday () < deadline ->
+    Unix.sleepf 0.005;
+    reap pid ~deadline
+  | 0, _ ->
+    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+    reap pid ~deadline:infinity
+  | _, status -> status
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap pid ~deadline
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> Unix.WEXITED 0
+
+let status_text = function
+  | Unix.WEXITED c -> Printf.sprintf "exit status %d" c
+  | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
+  | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s
+
+let with_forked ?socket_path ?workers ?config f =
+  let cache_path = Filename.temp_file "lcl-serve-" ".cache" in
+  let socket_path =
+    match socket_path with
+    | Some p -> p
+    | None -> Filename.remove_extension cache_path ^ ".sock"
+  in
+  let ready_r, ready_w = Unix.pipe ~cloexec:true () in
+  let parent = Unix.getpid () in
+  let pid =
+    try Unix.fork ()
+    with e ->
+      Unix.close ready_r;
+      Unix.close ready_w;
+      remove_cache_files cache_path;
+      raise e
+  in
+  if pid = 0 then begin
+    Unix.close ready_r;
+    let on_ready () =
+      ignore (Unix.write_substring ready_w "r" 0 1);
+      Unix.close ready_w
+    in
+    (* an orphaned daemon stops by itself *)
+    let should_stop () = Unix.getppid () <> parent in
+    Unix._exit
+      (match
+         serve ~socket_path ~cache_path ?workers ?config ~should_stop ~on_ready
+           ()
+       with
+      | _ -> 0
+      | exception _ -> 1)
+  end;
+  Unix.close ready_w;
+  let ready =
+    Fun.protect
+      ~finally:(fun () -> Unix.close ready_r)
+      (fun () ->
+        await_ready ready_r
+          ~deadline:(Unix.gettimeofday () +. lifecycle_timeout_s))
+  in
+  let stop () =
+    let deadline = Unix.gettimeofday () +. lifecycle_timeout_s in
+    if ready then
+      ignore
+        (request ~recv_timeout_s:lifecycle_timeout_s ~socket_path
+           Protocol.Shutdown);
+    let status = reap pid ~deadline in
+    remove_quietly socket_path;
+    remove_cache_files cache_path;
+    status
+  in
+  let fail what status =
+    failwith
+      (Printf.sprintf "serve daemon on %s %s (%s)" socket_path what
+         (status_text status))
+  in
+  if not ready then fail "never became ready" (stop ());
+  match f socket_path with
+  | v -> (
+    match stop () with
+    | Unix.WEXITED 0 -> v
+    | status -> fail "did not exit cleanly" status)
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    ignore (stop ());
+    Printexc.raise_with_backtrace e bt

@@ -18,8 +18,8 @@
       timeout clamped to the remaining budget while it computes;
     - admission control: at most [max_pending] engine-level requests
       are admitted per dispatch cycle, the overflow is shed with
-      [Overloaded] carrying a retry-after hint (daemon-level [Stats],
-      [Health], [Shutdown] are never shed);
+      [Overloaded] carrying a retry-after hint of 50 ms (daemon-level
+      [Stats], [Health], [Shutdown] are never shed);
     - a worker death or stall mid-request degrades to an in-process
       recompute and a [Degraded] answer with identical text;
     - a corrupt cache file is quarantined (renamed aside) and the
@@ -27,7 +27,8 @@
       bypassed for the cycle;
     - client misbehaviour (mid-frame disconnect, reset, garbage,
       never-reading peers) costs that client its connection, never the
-      select loop. *)
+      select loop: a peer that stops reading for 5 s ([SO_SNDTIMEO])
+      stalls only its own answer. *)
 
 type stats = {
   mutable served : int;      (** requests answered *)
@@ -44,8 +45,6 @@ type stats = {
 type config = {
   max_pending : int;
       (** engine-level admissions per dispatch cycle (default 64) *)
-  retry_after_ms : int;
-      (** hint carried by [Overloaded] (default 50) *)
   default_budget_ms : int option;
       (** budget for envelopes that carry none (default [None]) *)
   cluster_timeout_ms : int option;
@@ -53,9 +52,6 @@ type config = {
           so every computation inherits a worker drain bound even
           without a request budget (default [None] = keep the
           [LCL_CLUSTER_TIMEOUT_MS]-seeded global) *)
-  write_timeout_s : float;
-      (** [SO_SNDTIMEO] on client connections: a peer that stops
-          reading stalls its own answer, not the daemon (default 5) *)
   chaos : Fault.Service.t;
       (** daemon-side chaos events, applied by engine-request ordinal
           (client-side events are ignored here); [Service.empty]
@@ -68,12 +64,15 @@ val default_config : config
     a stale socket file first), opens the cache at [cache_path] —
     quarantining and rebuilding it when corrupt — and serves until a
     [Shutdown] request arrives or [should_stop ()] turns true (polled
-    at least every [poll_interval] seconds, default 0.25). The cache
-    is flushed and closed and the socket unlinked on every exit path.
-    Returns the final counters.
+    at least every 0.25 s: [select] wakes at once for a readable
+    socket, so the interval only bounds how soon [should_stop] is
+    noticed). The cache is flushed and closed and the socket unlinked
+    on every exit path. Returns the final counters.
 
-    [on_ready] fires once listening (used by tests and by the CLI to
-    print the socket path). [workers] is passed to every computation.
+    [on_ready] fires once listening — the socket file exists from
+    [bind] on, so only [on_ready] says that a connect will be accepted
+    (the CLI prints the socket path there; {!with_forked} waits for
+    it). [workers] is passed to every computation.
 
     @raise Unix.Unix_error when binding or listening fails. *)
 val serve :
@@ -82,7 +81,6 @@ val serve :
   ?workers:int ->
   ?config:config ->
   ?should_stop:(unit -> bool) ->
-  ?poll_interval:float ->
   ?on_ready:(unit -> unit) ->
   unit ->
   stats
@@ -95,7 +93,8 @@ val serve :
     raises and never hangs when [recv_timeout_s] is set. *)
 
 (** [request ~socket_path req] connects, sends [req] (with its
-    [budget_ms], if any), and reads the answer.
+    [budget_ms], if any), and reads the answer: a one-element
+    {!request_batch}, retried.
 
     [retry] is the reconnect/retry budget: transport failures are
     retried per the backoff policy, and an [Overloaded] answer is
@@ -122,3 +121,31 @@ val request_batch :
   socket_path:string ->
   Protocol.request list ->
   Protocol.response list
+
+(** {1 A forked daemon}
+
+    [with_forked f] forks a child that runs {!serve} on a fresh cache
+    file in [Filename.get_temp_dir_name ()] and on [socket_path]
+    (default: a fresh path next to the cache), waits until the child's
+    [on_ready] fires, and runs [f socket_path]. Then, whether [f]
+    returned or raised, it sends [Shutdown], reaps the child — one
+    that has not exited 10 s later is SIGKILLed — and removes the
+    socket, the cache and every [<cache>.quarantined*] copy the
+    daemon moved aside. The child also stops by itself if this
+    process dies. [workers] and [config] are passed to {!serve}.
+
+    Readiness comes from [on_ready] over a pipe, not from polling the
+    socket file or sending a request: the file appears at [bind],
+    before [listen], and a [Ping] would take an engine ordinal and so
+    shift [config.chaos].
+
+    @raise Failure when the daemon does not become ready within 10 s
+    (it could not bind, for instance) or, after [f] returned, did not
+    exit with status 0. An exception from [f] is re-raised after the
+    teardown. *)
+val with_forked :
+  ?socket_path:string ->
+  ?workers:int ->
+  ?config:config ->
+  (string -> 'a) ->
+  'a

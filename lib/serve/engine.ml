@@ -157,9 +157,6 @@ let answer_tagged ?workers ~cache req : Protocol.response * source =
       | None -> ());
       (r, Miss))
 
-let answer_cached ?workers ~cache req : Protocol.response =
-  fst (answer_tagged ?workers ~cache req)
-
 (* Clamp the cluster drain timeout to the remaining budget while [f]
    computes, so a stalled worker is reaped (and its range recovered)
    instead of overrunning the deadline. *)

@@ -33,13 +33,6 @@
     here. *)
 val answer : ?workers:int -> Protocol.request -> Protocol.response
 
-(** Evaluate through a persistent cache: fingerprinted requests probe
-    [cache] first and persist their answer text on a miss. [Failed]
-    answers are never cached. *)
-val answer_cached :
-  ?workers:int -> cache:Util.Diskcache.t -> Protocol.request ->
-  Protocol.response
-
 (** How a batched answer was obtained: from the persistent cache (or
     an earlier duplicate in the same cycle), computed on a cache miss,
     or computed/refused without a cache key ([Uncacheable] also covers
@@ -49,8 +42,10 @@ type source = Hit | Miss | Uncacheable
 (** Evaluate a dispatch cycle's batch of [(request, budget_ms)] pairs:
     distinct fingerprints are computed (or fetched) once and shared
     across the batch, in first-occurrence order; requests without a
-    fingerprint are evaluated individually. The result list is
-    positionally aligned with the input.
+    fingerprint are evaluated individually. A fingerprinted request
+    probes [cache] first and persists its answer text on a miss;
+    [Failed] answers are never cached. The result list is positionally
+    aligned with the input.
 
     Budgets are enforced per dispatch cycle: each request's deadline
     is its budget measured from the start of the batch. A request

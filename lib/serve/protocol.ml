@@ -88,16 +88,10 @@ let fingerprint = function
 let encode_request ?budget_ms req =
   Util.Framing.encode (Marshal.to_string { req; budget_ms } [])
 
-let write_request ?budget_ms fd req =
-  Util.Framing.write_frame fd (Marshal.to_string { req; budget_ms } [])
-
 let write_response fd (r : response) =
   Util.Framing.write_frame fd (Marshal.to_string r [])
 
 let envelope_of_payload payload : envelope = Marshal.from_string payload 0
-
-let read_envelope fd : envelope option =
-  Option.map envelope_of_payload (Util.Framing.read_frame fd)
 
 let read_response fd : response option =
   Option.map

@@ -75,13 +75,10 @@ val response_to_string : response -> string
     parse errors are never cached. *)
 val fingerprint : request -> string option
 
-(** Frame I/O over a socket. [read_*] return [None] on clean EOF.
+(** Frame I/O over a socket. [read_response] returns [None] on clean
+    EOF.
     @raise Util.Framing.Corrupt on a torn or oversized frame,
     [Failure] on an unmarshalable payload. *)
-
-val write_request : ?budget_ms:int -> Unix.file_descr -> request -> unit
-
-val read_envelope : Unix.file_descr -> envelope option
 
 val write_response : Unix.file_descr -> response -> unit
 
@@ -94,7 +91,7 @@ val read_response : Unix.file_descr -> response option
     a bad header. *)
 val envelope_of_payload : string -> envelope
 
-(** The marshaled bytes of a request frame, for clients that need to
-    place several requests in one [write] (the batch client, the
-    torn-frame chaos leg). *)
+(** The marshaled bytes of a request frame: what every client writes
+    (the daemon's client sends a whole batch in one [write]; the
+    torn-frame chaos leg sends a prefix). *)
 val encode_request : ?budget_ms:int -> request -> string

@@ -37,6 +37,12 @@ let random_tree seed ~delta n =
 
 let qsuite name cells = (name, List.map QCheck_alcotest.to_alcotest cells)
 
+(** Whether [sub] occurs in [s]. *)
+let contains ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
 (* -- trace-driven test harness ------------------------------------------ *)
 
 (** Run [f] inside a fresh trace with observability on (restoring the

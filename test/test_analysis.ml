@@ -14,11 +14,6 @@ let codes ds = List.map (fun (d : D.t) -> d.D.code) ds
 let has_code c ds = List.mem c (codes ds)
 let find_code c ds = List.find (fun (d : D.t) -> d.D.code = c) ds
 
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
 (* -- Diagnostic -------------------------------------------------------- *)
 
 let test_diag_render () =
@@ -37,7 +32,7 @@ let test_diag_render () =
     j;
   let report = D.list_to_json [ d ] in
   check bool "report counts" true
-    (contains ~sub:"\"errors\":1,\"warnings\":0,\"infos\":0" report)
+    (Helpers.contains ~sub:"\"errors\":1,\"warnings\":0,\"infos\":0" report)
 
 let test_diag_sort () =
   let mk line sev code = D.v ?line sev ~code "m" in
@@ -91,13 +86,14 @@ let test_lint_classification_note () =
   check bool "no errors" false (D.has_errors ds);
   let note = find_code "L202" ds in
   check bool "log* on cycles" true
-    (contains ~sub:"Theta(log* n) on oriented cycles" note.D.message)
+    (Helpers.contains ~sub:"Theta(log* n) on oriented cycles" note.D.message)
 
 let test_lint_zero_round_witness () =
   let ds = Analysis.Lint.problem (Lcl.Zoo.trivial ~delta:3) in
   let note = find_code "L201" ds in
   check bool "info severity" true (note.D.severity = D.Info);
-  check bool "mentions a witness" true (contains ~sub:"witness" note.D.message);
+  check bool "mentions a witness" true
+    (Helpers.contains ~sub:"witness" note.D.message);
   (* 3-coloring is Theta(log* n): no 0-round note *)
   check bool "3-coloring not 0-round" false
     (has_code "L201" (Analysis.Lint.problem (Lcl.Zoo.coloring ~k:3 ~delta:2)))
@@ -112,9 +108,9 @@ let test_lint_unusable_label () =
   let ds = Analysis.Lint.problem p in
   let e = find_code "L101" ds in
   check bool "is error" true (e.D.severity = D.Error);
-  check bool "names the label" true (contains ~sub:"'b'" e.D.message);
+  check bool "names the label" true (Helpers.contains ~sub:"'b'" e.D.message);
   check bool "names the leg" true
-    (contains ~sub:"edge configuration" e.D.message);
+    (Helpers.contains ~sub:"edge configuration" e.D.message);
   check bool "pruned-normal-form note" true (has_code "L106" ds)
 
 let test_lint_cascade_unusable () =
@@ -128,11 +124,11 @@ let test_lint_cascade_unusable () =
   let ds = Analysis.Lint.problem p in
   let cascades =
     List.filter (fun (d : D.t) -> d.D.code = "L101") ds
-    |> List.filter (fun (d : D.t) -> contains ~sub:"'c'" d.D.message)
+    |> List.filter (fun (d : D.t) -> Helpers.contains ~sub:"'c'" d.D.message)
   in
   check int "c flagged" 1 (List.length cascades);
   check bool "cascade wording" true
-    (contains ~sub:"themselves unusable" (List.hd cascades).D.message)
+    (Helpers.contains ~sub:"themselves unusable" (List.hd cascades).D.message)
 
 let test_lint_empty_degree_row () =
   let sigma_out = Lcl.Alphabet.of_names [ "x" ] in
@@ -144,7 +140,7 @@ let test_lint_empty_degree_row () =
   let ds = Analysis.Lint.problem ~deep:false p in
   let w = find_code "L102" ds in
   check bool "warning" true (w.D.severity = D.Warning);
-  check bool "degree named" true (contains ~sub:"degree-2" w.D.message)
+  check bool "degree named" true (Helpers.contains ~sub:"degree-2" w.D.message)
 
 let test_lint_g_images () =
   let sigma_in = Lcl.Alphabet.of_names [ "ok"; "void"; "doomed" ] in
@@ -162,10 +158,10 @@ let test_lint_g_images () =
   let empty = find_code "L103" ds in
   check bool "empty image is error" true (empty.D.severity = D.Error);
   check bool "empty image names input" true
-    (contains ~sub:"'void'" empty.D.message);
+    (Helpers.contains ~sub:"'void'" empty.D.message);
   let doomed = find_code "L104" ds in
   check bool "doomed image names input" true
-    (contains ~sub:"'doomed'" doomed.D.message)
+    (Helpers.contains ~sub:"'doomed'" doomed.D.message)
 
 let test_lint_unrealizable_edge () =
   let sigma_out = Lcl.Alphabet.of_names [ "a"; "b" ] in
@@ -176,7 +172,8 @@ let test_lint_unrealizable_edge () =
   in
   let ds = Analysis.Lint.problem ~deep:false p in
   let w = find_code "L105" ds in
-  check bool "names missing label" true (contains ~sub:"'b'" w.D.message)
+  check bool "names missing label" true
+    (Helpers.contains ~sub:"'b'" w.D.message)
 
 (* -- Lint: files and golden fixtures ----------------------------------- *)
 
@@ -228,8 +225,8 @@ let test_fixture_unusable_label () =
     check bool "exit would be non-zero" true (D.has_errors ds);
     (* the same finding carries the file and line through JSON *)
     check bool "json has position" true
-      (contains ~sub:"\"code\":\"L101\"" (D.list_to_json ds)
-      && contains ~sub:"\"line\":5" (D.list_to_json ds))
+      (Helpers.contains ~sub:"\"code\":\"L101\"" (D.list_to_json ds)
+      && Helpers.contains ~sub:"\"line\":5" (D.list_to_json ds))
 
 let test_fixture_empty_degree_row () =
   match problems_dir () with
@@ -261,9 +258,9 @@ let test_fixture_dead_label () =
       ds;
     check bool "warnings only" false (D.has_errors ds);
     check bool "names the dead label" true
-      (contains ~sub:"dead label 'z'" (find_code "L107" ds).D.message);
+      (Helpers.contains ~sub:"dead label 'z'" (find_code "L107" ds).D.message);
     check bool "names the unreachable clause" true
-      (contains ~sub:"{z c}" (find_code "L108" ds).D.message)
+      (Helpers.contains ~sub:"{z c}" (find_code "L108" ds).D.message)
 
 let test_fixture_unreachable_edge () =
   match problems_dir () with
@@ -321,7 +318,7 @@ let test_sanitizer_loose_claim () =
   check bool "no violation" true
     (r.Analysis.Sanitizer.overread_radius = None);
   check bool "loose note" true
-    (contains ~sub:"loose"
+    (Helpers.contains ~sub:"loose"
        (find_code "S003" r.Analysis.Sanitizer.diagnostics).D.message)
 
 let test_sanitizer_crash_is_reported () =

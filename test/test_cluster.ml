@@ -378,14 +378,23 @@ let with_cache f =
 let test_serve_cache_hit_no_invocation () =
   with_cache (fun cache ->
       let req = Serve.Protocol.Classify { problem = "3-coloring" } in
+      (* two batches: the second can only hit through the disk cache *)
+      let answer () =
+        match Serve.Engine.answer_batch ~cache [ (req, None) ] with
+        | [ a ] -> a
+        | _ -> fail "one answer per request"
+      in
       let (r1, r2), _, metrics =
         Helpers.with_trace (fun () ->
-            ( Serve.Engine.answer_cached ~cache req,
-              Serve.Engine.answer_cached ~cache req ))
+            let cold = answer () in
+            (cold, answer ()))
       in
       check bool "cold answer ok" true
-        (match r1 with Serve.Protocol.Answer _ -> true | _ -> false);
-      check bool "warm answer byte-identical" true (r1 = r2);
+        (match r1 with
+        | Serve.Protocol.Answer _, Serve.Engine.Miss -> true
+        | _ -> false);
+      check bool "warm answer byte-identical" true
+        (r2 = (fst r1, Serve.Engine.Hit));
       (* the second identical request is a cache hit: zero additional
          engine invocations *)
       Helpers.assert_counter metrics "serve.requests" 2;
@@ -426,8 +435,8 @@ let test_serve_fingerprint_canonical () =
 let test_serve_error_not_cached () =
   with_cache (fun cache ->
       let bad = Serve.Protocol.Simulate { algo = "no-such"; n = 8; seed = 1 } in
-      (match Serve.Engine.answer_cached ~cache bad with
-      | Serve.Protocol.Failed { code = "F400"; _ } -> ()
+      (match Serve.Engine.answer_batch ~cache [ (bad, None) ] with
+      | [ (Serve.Protocol.Failed { code = "F400"; _ }, _) ] -> ()
       | _ -> fail "expected a typed F400 failure");
       check int "errors never persisted" 0 (Util.Diskcache.length cache))
 
@@ -435,33 +444,9 @@ let test_serve_error_not_cached () =
 
 let test_serve_daemon_roundtrip () =
   check_fork_available ();
-  let sock = tmp_path "lcl-serve-sock" in
-  let cache = tmp_path "lcl-serve-dc" in
-  let cleanup () =
-    List.iter (fun p -> try Sys.remove p with Sys_error _ -> ()) [ sock; cache ]
-  in
-  Fun.protect ~finally:cleanup (fun () ->
-      let daemon =
-        match Unix.fork () with
-        | 0 ->
-          (* the daemon child: serve until the Shutdown request *)
-          (try
-             ignore
-               (Serve.Daemon.serve ~socket_path:sock ~cache_path:cache
-                  ~poll_interval:0.02 ())
-           with _ -> Unix._exit 1);
-          Unix._exit 0
-        | pid -> pid
-      in
-      let rec await_socket tries =
-        if Sys.file_exists sock then ()
-        else if tries = 0 then fail "daemon socket never appeared"
-        else begin
-          ignore (Unix.select [] [] [] 0.02);
-          await_socket (tries - 1)
-        end
-      in
-      await_socket 250;
+  (* [with_forked] sends the Shutdown and fails unless the daemon
+     exits 0 *)
+  Serve.Daemon.with_forked (fun sock ->
       let classify = Serve.Protocol.Classify { problem = "2-coloring" } in
       (* one connection, both requests in flight before any answer:
          they land in one dispatch cycle and compute once *)
@@ -481,25 +466,12 @@ let test_serve_daemon_roundtrip () =
       (match Serve.Daemon.request ~socket_path:sock classify with
       | Serve.Protocol.Answer _ -> ()
       | r -> fail (Serve.Protocol.response_to_string r));
-      (match Serve.Daemon.request ~socket_path:sock Serve.Protocol.Stats with
+      match Serve.Daemon.request ~socket_path:sock Serve.Protocol.Stats with
       | Serve.Protocol.Answer text ->
         check bool "stats reports the cache hit" true
-          (let has needle =
-             let rec go i =
-               i + String.length needle <= String.length text
-               && (String.sub text i (String.length needle) = needle || go (i + 1))
-             in
-             go 0
-           in
-           has "\"cache_hits\":2" && has "\"cache_misses\":1")
-      | r -> fail (Serve.Protocol.response_to_string r));
-      (match Serve.Daemon.request ~socket_path:sock Serve.Protocol.Shutdown with
-      | Serve.Protocol.Answer _ -> ()
-      | r -> fail (Serve.Protocol.response_to_string r));
-      (match Unix.waitpid [] daemon with
-      | _, Unix.WEXITED 0 -> ()
-      | _, _ -> fail "daemon did not exit cleanly"
-      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()))
+          (Helpers.contains ~sub:"\"cache_hits\":2" text
+          && Helpers.contains ~sub:"\"cache_misses\":1" text)
+      | r -> fail (Serve.Protocol.response_to_string r))
 
 (* -- backoff -------------------------------------------------------------- *)
 
@@ -690,49 +662,7 @@ let test_serve_degraded_engine () =
 
 let with_daemon ?workers ?config f =
   check_fork_available ();
-  let sock = tmp_path "lcl-dmn-sock" in
-  let cachef = tmp_path "lcl-dmn-dc" in
-  let cleanup () =
-    List.iter
-      (fun p -> try Sys.remove p with Sys_error _ -> ())
-      [ sock; cachef ]
-  in
-  Fun.protect ~finally:cleanup (fun () ->
-      let daemon =
-        match Unix.fork () with
-        | 0 ->
-          (try
-             ignore
-               (Serve.Daemon.serve ~socket_path:sock ~cache_path:cachef
-                  ?workers ?config ~poll_interval:0.02 ())
-           with _ -> Unix._exit 1);
-          Unix._exit 0
-        | pid -> pid
-      in
-      let rec await tries =
-        if Sys.file_exists sock then ()
-        else if tries = 0 then fail "daemon socket never appeared"
-        else begin
-          ignore (Unix.select [] [] [] 0.02);
-          await (tries - 1)
-        end
-      in
-      await 250;
-      Fun.protect
-        ~finally:(fun () ->
-          ignore
-            (Serve.Daemon.request ~recv_timeout_s:10. ~socket_path:sock
-               Serve.Protocol.Shutdown);
-          try ignore (Unix.waitpid [] daemon)
-          with Unix.Unix_error (Unix.ECHILD, _, _) -> ())
-        (fun () -> f sock))
-
-let contains text needle =
-  let rec go i =
-    i + String.length needle <= String.length text
-    && (String.sub text i (String.length needle) = needle || go (i + 1))
-  in
-  go 0
+  Serve.Daemon.with_forked ?workers ?config f
 
 (* Regression: a client killed mid-frame, or one sending a frame too
    short to decode, must cost only its own connection — the select
@@ -774,8 +704,10 @@ let test_daemon_deadline_and_health () =
           Serve.Protocol.Health
       with
       | Serve.Protocol.Answer t ->
-        check bool "health JSON" true (contains t "\"serve\":\"health\"");
-        check bool "health reports workers" true (contains t "\"workers\":")
+        check bool "health JSON" true
+          (Helpers.contains ~sub:"\"serve\":\"health\"" t);
+        check bool "health reports workers" true
+          (Helpers.contains ~sub:"\"workers\":" t)
       | r -> fail (Serve.Protocol.response_to_string r))
 
 let test_daemon_admission_shed () =
@@ -828,6 +760,74 @@ let test_daemon_chaos_degraded () =
       | Serve.Protocol.Answer warm ->
         check string "degraded text cached and byte-identical" cold warm
       | r -> fail (Serve.Protocol.response_to_string r))
+
+(* Runs [f dir] with [dir] a fresh, empty temp directory, removed
+   afterwards with whatever is left in it. *)
+let with_temp_dir f =
+  let dir = tmp_path "lcl-forked" in
+  Unix.mkdir dir 0o755;
+  let saved = Filename.get_temp_dir_name () in
+  Filename.set_temp_dir_name dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Filename.set_temp_dir_name saved;
+      Array.iter
+        (fun f -> Sys.remove (Filename.concat dir f))
+        (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () -> f dir)
+
+let dir_files dir = List.sort compare (Array.to_list (Sys.readdir dir))
+
+(* A plan that corrupts the cache at ordinal 0 makes the daemon move
+   it aside mid-run; the teardown still leaves nothing behind. *)
+let test_forked_daemon_cleanup () =
+  let config =
+    {
+      Serve.Daemon.default_config with
+      Serve.Daemon.chaos =
+        Fault.Service.make [| (0, Fault.Service.Cache_corrupt) |];
+    }
+  in
+  with_temp_dir (fun dir ->
+      let during =
+        with_daemon ~config (fun sock ->
+            let ask req =
+              match
+                Serve.Daemon.request ~recv_timeout_s:10. ~socket_path:sock req
+              with
+              | Serve.Protocol.Answer t -> t
+              | r -> fail (Serve.Protocol.response_to_string r)
+            in
+            ignore (ask (Serve.Protocol.Classify { problem = "3-coloring" }));
+            check bool "cache quarantined once" true
+              (Helpers.contains ~sub:"\"quarantined\":1"
+                 (ask Serve.Protocol.Stats));
+            dir_files dir)
+      in
+      let has suffix =
+        List.exists (fun f -> Helpers.contains ~sub:suffix f) during
+      in
+      check bool "socket, cache and quarantined copy while it runs" true
+        (has ".sock" && has ".cache" && has ".cache.quarantined");
+      check (list string) "nothing left behind" [] (dir_files dir))
+
+(* A daemon that cannot bind raises instead of hanging, and leaves no
+   cache file behind. *)
+let test_forked_daemon_bind_failure () =
+  check_fork_available ();
+  with_temp_dir (fun dir ->
+      let socket_path =
+        Filename.concat (Filename.concat dir "missing") "d.sock"
+      in
+      check bool "with_forked raises" true
+        (match
+           Serve.Daemon.with_forked ~socket_path (fun _ ->
+               fail "callback ran without a daemon")
+         with
+        | () -> false
+        | exception Failure _ -> true);
+      check (list string) "nothing left behind" [] (dir_files dir))
 
 let test_client_retry_give_up () =
   let retry =
@@ -1059,6 +1059,9 @@ let suites =
           test_daemon_deadline_and_health;
         test_case "admission shed" `Quick test_daemon_admission_shed;
         test_case "chaos-degraded then warm" `Quick test_daemon_chaos_degraded;
+        test_case "forked daemon cleans up" `Quick test_forked_daemon_cleanup;
+        test_case "forked daemon bind failure" `Quick
+          test_forked_daemon_bind_failure;
         test_case "client retry give-up" `Quick test_client_retry_give_up;
       ] );
     ( "cluster.runner",

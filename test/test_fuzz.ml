@@ -164,14 +164,8 @@ let test_in_subprocess () =
   | other -> failf "expected xxx, got %s" other);
   match Fuzz.Oracle.in_subprocess (fun () -> failwith "boom") with
   | exception Failure m ->
-    let contains s sub =
-      let n = String.length sub in
-      let rec at i =
-        i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
-      in
-      at 0
-    in
-    check bool "child exception surfaces" true (contains m "boom")
+    check bool "child exception surfaces" true
+      (Helpers.contains ~sub:"boom" m)
   | _ -> fail "child exception did not surface"
 
 (* -- shrink --------------------------------------------------------------- *)

@@ -27,11 +27,6 @@ let load_fixture dir name =
   let path = Filename.concat dir (Filename.concat "fixtures" name) in
   Lcl.Parse.of_string (In_channel.with_open_text path In_channel.input_all)
 
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
 (* -- golden verdicts over the zoo -------------------------------------- *)
 
 let zoo_expected =
@@ -249,7 +244,8 @@ let test_replay_disagreement_code () =
   | [ d ] ->
     check string "code" "C205" d.D.code;
     check bool "severity error" true (d.D.severity = D.Error);
-    check bool "names the check" true (contains ~sub:"witness(star)" d.D.message)
+    check bool "names the check" true
+      (Helpers.contains ~sub:"witness(star)" d.D.message)
   | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds)
 
 (* -- observability + the static serve path ---------------------------- *)

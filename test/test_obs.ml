@@ -238,13 +238,10 @@ let test_jsonl_byte_stable () =
 let test_summary_contents () =
   let _, events, metrics = with_trace (fun () -> cycle_workload ()) in
   let s = Obs.Export.summary events metrics in
-  let contains sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
-  check bool "mentions runner.simulate" true (contains "runner.simulate");
-  check bool "mentions runner.nodes" true (contains "runner.nodes")
+  check bool "mentions runner.simulate" true
+    (Helpers.contains ~sub:"runner.simulate" s);
+  check bool "mentions runner.nodes" true
+    (Helpers.contains ~sub:"runner.nodes" s)
 
 (* -- trace-shape regressions over the simulators ------------------------ *)
 

@@ -361,6 +361,30 @@ let test_json_floats () =
       check bool (text x) true (Json.of_string (text x) = Json.Float x))
     [ 1e15; 4e15 +. 1.; -1e17; 2. ** 62. ]
 
+(* \u escapes decode to UTF-8: other encoders write non-ASCII text
+   that way (Python's json.dumps does by default). Exactly four hex
+   digits, surrogate pairs combined, lone surrogates rejected. *)
+let test_json_unicode_escapes () =
+  let read text = Json.of_string ("\"" ^ text ^ "\"") in
+  List.iter
+    (fun (text, want) ->
+      check bool text true (read text = Json.String want))
+    [
+      ("caf\\u00e9", "caf\xc3\xa9"); ("caf\\u00E9", "caf\xc3\xa9");
+      ("\\u0041", "A"); ("\\u20ac", "\xe2\x82\xac");
+      ("\\ud83d\\ude00", "\xf0\x9f\x98\x80");
+    ];
+  List.iter
+    (fun text ->
+      check bool text true
+        (match read text with
+        | _ -> false
+        | exception Json.Parse_error _ -> true))
+    [
+      "\\u0_41"; "\\u+041"; "\\u00e"; "\\ud83d"; "\\ude00"; "\\ud83dx";
+      "\\ud83d\\u0041"; "\\ud83d\\n";
+    ]
+
 let suites =
   [
     ( "util.unit",
@@ -389,6 +413,7 @@ let suites =
       ] );
     ( "json",
       Alcotest.test_case "float rendering" `Quick test_json_floats
+      :: Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escapes
       :: List.map QCheck_alcotest.to_alcotest
            [ prop_json_roundtrip; prop_json_prefixes ] );
     Helpers.qsuite "util.prop"
