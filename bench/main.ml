@@ -620,6 +620,14 @@ let gated_pairs ~score ~pass ~show a b =
 (* How much slower [t] is than [base], in percent. *)
 let pct t base = (t -. base) /. max 1e-9 base *. 100.
 
+(* A section's machine-readable point, one JSON line; [rounded] keeps a
+   timing or ratio to the decimals the tables print. *)
+let print_point fields = print_endline (Json.to_string (Json.Obj fields))
+
+let rounded digits x =
+  let scale = 10. ** float_of_int digits in
+  Json.Float (Float.round (x *. scale) /. scale)
+
 (* ------------------------------------------------------------------ *)
 (* E11 — fault-injection overhead and degradation on the grid workload. *)
 
@@ -687,14 +695,18 @@ let e11 () =
   Printf.printf "fault-off overhead: %.1f%% (budget 5%%) — %s\n" overhead
     (if overhead < 5.0 then "OK" else "EXCEEDED");
   (* machine-readable point for BENCH_FAULT.json *)
-  Printf.printf
-    "{\"bench\":\"fault-overhead\",\"workload\":\"torus-echo\",\"n\":%d,\
-     \"plain_s\":%.6f,\"resilient_empty_s\":%.6f,\"overhead_pct\":%.2f,\
-     \"faulty_ok\":%d,\"faulty_crashed\":%d,\"faulty_starved\":%d,\
-     \"faulty_violations\":%d}\n"
-    (side * side) t_plain t_empty overhead r.Local.Runner.ok_nodes
-    r.Local.Runner.crashed_nodes r.Local.Runner.starved_nodes
-    (List.length faulty.Local.Runner.healthy_violations);
+  print_point
+    [
+      ("bench", String "fault-overhead"); ("workload", String "torus-echo");
+      ("n", Int (side * side)); ("plain_s", rounded 6 t_plain);
+      ("resilient_empty_s", rounded 6 t_empty);
+      ("overhead_pct", rounded 2 overhead);
+      ("faulty_ok", Int r.Local.Runner.ok_nodes);
+      ("faulty_crashed", Int r.Local.Runner.crashed_nodes);
+      ("faulty_starved", Int r.Local.Runner.starved_nodes);
+      ("faulty_violations",
+       Int (List.length faulty.Local.Runner.healthy_violations));
+    ];
   if overhead >= 5.0 then exit 1;
   print_newline ()
 
@@ -778,11 +790,14 @@ let e12 () =
   Printf.printf "disabled-path overhead: %.1f%% (budget 2%%) — %s\n" overhead
     (if overhead < 2.0 then "OK" else "EXCEEDED");
   (* machine-readable point for BENCH_OBS.json *)
-  Printf.printf
-    "{\"bench\":\"obs-overhead\",\"workload\":\"torus-echo\",\"n\":%d,\
-     \"plain_s\":%.6f,\"instrumented_s\":%.6f,\"overhead_pct\":%.2f,\
-     \"enabled_s\":%.6f,\"enabled_spans\":%d}\n"
-    (side * side) t_plain t_inst overhead t_enabled spans;
+  print_point
+    [
+      ("bench", String "obs-overhead"); ("workload", String "torus-echo");
+      ("n", Int (side * side)); ("plain_s", rounded 6 t_plain);
+      ("instrumented_s", rounded 6 t_inst);
+      ("overhead_pct", rounded 2 overhead);
+      ("enabled_s", rounded 6 t_enabled); ("enabled_spans", Int spans);
+    ];
   if overhead >= 2.0 then exit 1;
   print_newline ()
 
@@ -898,13 +913,16 @@ let e13 () =
   Printf.printf "substrate speedup: %.2fx (gate 5x) — %s\n" speedup
     (if speedup >= 5.0 then "OK" else "BELOW GATE");
   (* machine-readable point for BENCH_SUBSTRATE.json *)
-  Printf.printf
-    "{\"bench\":\"substrate\",\"workload\":\"torus-echo-memo\",\"n\":%d,\
-     \"seed_s\":%.6f,\"csr_s\":%.6f,\"speedup\":%.2f,\
-     \"coloring_seed_s\":%.6f,\"coloring_csr_s\":%.6f,\
-     \"coloring_speedup\":%.2f,\"labels_identical\":%b,\
-     \"cache_semantics_identical\":%b}\n"
-    n t_seed t_csr speedup c_seed c_csr c_speedup labels_ok cache_ok;
+  print_point
+    [
+      ("bench", String "substrate"); ("workload", String "torus-echo-memo");
+      ("n", Int n); ("seed_s", rounded 6 t_seed); ("csr_s", rounded 6 t_csr);
+      ("speedup", rounded 2 speedup); ("coloring_seed_s", rounded 6 c_seed);
+      ("coloring_csr_s", rounded 6 c_csr);
+      ("coloring_speedup", rounded 2 c_speedup);
+      ("labels_identical", Bool labels_ok);
+      ("cache_semantics_identical", Bool cache_ok);
+    ];
   if speedup < 5.0 then exit 1;
   print_newline ()
 
@@ -1037,13 +1055,16 @@ let e14 () =
      else "reported only: needs >= 2 cores and n >= 10^6")
     warm_ratio labels_ok;
   (* machine-readable point for BENCH_SUBSTRATE.json *)
-  Printf.printf
-    "{\"bench\":\"cluster\",\"workload\":\"torus-coloring-cold\",\"n\":%d,\
-     \"cores\":%d,\"single_s\":%.6f,\"workers4_s\":%.6f,\"speedup\":%.2f,\
-     \"speedup_gated\":%b,\"serve_cold_s\":%.6f,\"serve_warm_s\":%.6f,\
-     \"warm_ratio\":%.1f,\"labels_identical\":%b,\"warm_identical\":%b}\n"
-    n cores t1 t4 speedup gated t_cold t_warm warm_ratio labels_ok
-    warm_identical;
+  print_point
+    [
+      ("bench", String "cluster"); ("workload", String "torus-coloring-cold");
+      ("n", Int n); ("cores", Int cores); ("single_s", rounded 6 t1);
+      ("workers4_s", rounded 6 t4); ("speedup", rounded 2 speedup);
+      ("speedup_gated", Bool gated); ("serve_cold_s", rounded 6 t_cold);
+      ("serve_warm_s", rounded 6 t_warm); ("warm_ratio", rounded 1 warm_ratio);
+      ("labels_identical", Bool labels_ok);
+      ("warm_identical", Bool warm_identical);
+    ];
   if (gated && speedup < 1.7) || warm_ratio < 50. || not warm_identical then
     exit 1;
   print_newline ()
@@ -1146,12 +1167,15 @@ let e16 () =
         Printf.sprintf "%+.2f%%" warm_over; "3%" ];
     ];
   (* machine-readable point for BENCH_FAULT.json *)
-  Printf.printf
-    "{\"bench\":\"serve-robustness\",\"workload\":\"cv-coloring-200k\",\
-     \"warm_batch\":50,\"plain_cold_s\":%.6f,\"armed_cold_s\":%.6f,\
-     \"plain_warm_s\":%.6f,\"armed_warm_s\":%.6f,\
-     \"cold_overhead_pct\":%.2f,\"warm_overhead_pct\":%.2f}\n"
-    !cold_p !cold_a !warm_p !warm_a cold_over warm_over;
+  print_point
+    [
+      ("bench", String "serve-robustness");
+      ("workload", String "cv-coloring-200k"); ("warm_batch", Int 50);
+      ("plain_cold_s", rounded 6 !cold_p); ("armed_cold_s", rounded 6 !cold_a);
+      ("plain_warm_s", rounded 6 !warm_p); ("armed_warm_s", rounded 6 !warm_a);
+      ("cold_overhead_pct", rounded 2 cold_over);
+      ("warm_overhead_pct", rounded 2 warm_over);
+    ];
   if warm_over > 3. || cold_over > 3. then begin
     print_endline "E16: armed daemon exceeds the 3% fault-free budget";
     exit 1

@@ -983,7 +983,7 @@ let serve_cmd =
           ~doc:
             "Per-worker drain timeout for every computation: a stalled \
              cluster worker is reaped and its range recomputed in-process \
-             (default $(b,\\$LCL_CLUSTER_TIMEOUT_MS)).")
+             (default: no timeout).")
   in
   let run socket cache workers max_pending default_budget_ms
       cluster_timeout_ms () =
@@ -1212,7 +1212,7 @@ let chaos_soak_cmd =
         ~ranks:(match workers with Some w -> max 1 w | None -> 4)
         ()
     in
-    let plan = Fault.Service.generate ~label:"soak" ~seed ~requests spec in
+    let plan = Fault.Service.generate ~seed ~requests spec in
     let config =
       {
         Serve.Daemon.default_config with

@@ -5,7 +5,7 @@
    chaos-soak run is a pure function of (plan, seed, request mix).
    Probabilistic chaos enters only through [generate]. Events are
    kept ordinal-sorted with a canonical within-ordinal order, so
-   structural equality is canonical and the JSON is deterministic. *)
+   structural equality is canonical. *)
 
 type event =
   | Kill_worker of int
@@ -15,11 +15,8 @@ type event =
   | Cache_corrupt
   | Disk_full
 
-type t = {
-  label : string;
-  seed : int;
-  events : (int * event) array;
-}
+(* ordinal-sorted, deduplicated (ordinal, event) pairs *)
+type t = (int * event) array
 
 (* Canonical within-ordinal order = constructor order above; rank
    breaks ties among kills/stalls. *)
@@ -46,15 +43,14 @@ let normalize events =
   in
   Array.of_list l
 
-let empty = { label = "empty"; seed = 0; events = [||] }
+let empty = [||]
 
-let make ?(label = "manual") ?(seed = 0) events =
-  { label; seed; events = normalize events }
+let make events = normalize events
 
-let is_empty p = p.events = [||]
+let is_empty p = p = [||]
 
 let at p i =
-  Array.to_list p.events
+  Array.to_list p
   |> List.filter_map (fun (o, e) -> if o = i then Some e else None)
 
 let class_name = function
@@ -77,7 +73,7 @@ let counts p =
       ( c,
         Array.fold_left
           (fun acc (_, e) -> if class_name e = c then acc + 1 else acc)
-          0 p.events ))
+          0 p ))
     all_classes
 
 let client_side = function
@@ -100,7 +96,7 @@ let spec ?(kill = 0.) ?(stall = 0.) ?(torn = 0.) ?(drop = 0.)
     ?(cache_corrupt = 0.) ?(disk_full = 0.) ?(ranks = 4) () =
   { kill; stall; torn; drop; cache_corrupt; disk_full; ranks = max 1 ranks }
 
-let generate ?(label = "generated") ~seed ~requests spec =
+let generate ~seed ~requests spec =
   let rng = Util.Prng.create ~seed in
   let pick p = Util.Prng.float rng < p in
   let rank () = Util.Prng.int rng spec.ranks in
@@ -125,86 +121,4 @@ let generate ?(label = "generated") ~seed ~requests spec =
   for o = 0 to requests - 1 do
     if pick spec.disk_full then events := (o, Disk_full) :: !events
   done;
-  { label; seed; events = normalize (Array.of_list !events) }
-
-(* -- JSON -------------------------------------------------------------- *)
-
-let event_json = function
-  | Kill_worker r -> Json.List [ Json.String "kill_worker"; Json.Int r ]
-  | Stall_worker r -> Json.List [ Json.String "stall_worker"; Json.Int r ]
-  | e -> Json.List [ Json.String (class_name e) ]
-
-let to_json p =
-  Json.Obj
-    [
-      ("plan", Json.String "lcl-service-plan");
-      ("version", Json.Int 1);
-      ("label", Json.String p.label);
-      ("seed", Json.Int p.seed);
-      ( "events",
-        Json.List
-          (Array.to_list
-             (Array.map
-                (fun (o, e) -> Json.List [ Json.Int o; event_json e ])
-                p.events)) );
-    ]
-
-let event_of_json ~ctx v =
-  match Json.get_list ~ctx v with
-  | [ Json.String "kill_worker"; r ] -> Kill_worker (Json.get_int ~ctx r)
-  | [ Json.String "stall_worker"; r ] -> Stall_worker (Json.get_int ~ctx r)
-  | [ Json.String "torn_frame" ] -> Torn_frame
-  | [ Json.String "drop_connection" ] -> Drop_connection
-  | [ Json.String "cache_corrupt" ] -> Cache_corrupt
-  | [ Json.String "disk_full" ] -> Disk_full
-  | _ -> raise (Json.Parse_error (ctx ^ ": unknown service event"))
-
-let of_json v =
-  try
-    (match Json.member "plan" v with
-    | Some (Json.String "lcl-service-plan") -> ()
-    | _ ->
-      raise (Json.Parse_error "missing {\"plan\":\"lcl-service-plan\"} header"));
-    (match Json.member "version" v with
-    | Some (Json.Int 1) | None -> ()
-    | _ -> raise (Json.Parse_error "unsupported service-plan version"));
-    let events =
-      match Json.member "events" v with
-      | None -> [||]
-      | Some j ->
-        let ctx = "events" in
-        Array.of_list
-          (List.map
-             (fun item ->
-               match Json.get_list ~ctx item with
-               | [ o; e ] -> (Json.get_int ~ctx o, event_of_json ~ctx e)
-               | _ ->
-                 raise
-                   (Json.Parse_error (ctx ^ ": expected [ordinal, event] pairs")))
-             (Json.get_list ~ctx j))
-    in
-    Ok
-      {
-        label =
-          (match Json.member "label" v with
-          | Some (Json.String s) -> s
-          | _ -> "unlabeled");
-        seed =
-          (match Json.member "seed" v with Some (Json.Int s) -> s | _ -> 0);
-        events = normalize events;
-      }
-  with Json.Parse_error m -> Stdlib.Error (Error.v ~code:"F405" m)
-
-let to_string p = Json.to_string (to_json p)
-
-let of_string s =
-  match Json.of_string s with
-  | v -> of_json v
-  | exception Json.Parse_error m -> Stdlib.Error (Error.v ~code:"F405" m)
-
-let pp ppf p =
-  Fmt.pf ppf "service plan %s (seed %d):%s" p.label p.seed
-    (String.concat ""
-       (List.filter_map
-          (fun (k, c) -> if c = 0 then None else Some (Printf.sprintf " %s=%d" k c))
-          (counts p)))
+  normalize (Array.of_list !events)

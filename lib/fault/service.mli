@@ -25,15 +25,12 @@ type event =
   | Cache_corrupt   (** the on-disk cache is garbled before dispatch *)
   | Disk_full       (** cache appends fail during this request *)
 
-type t = {
-  label : string;
-  seed : int;                    (* seed [generate] drew from; 0 = manual *)
-  events : (int * event) array;  (* ordinal-sorted, deduplicated *)
-}
+type t
 
 val empty : t
 
-val make : ?label:string -> ?seed:int -> (int * event) array -> t
+(** The plan of these (ordinal, event) pairs, in canonical order. *)
+val make : (int * event) array -> t
 
 val is_empty : t -> bool
 
@@ -68,15 +65,4 @@ val spec :
     deterministic function of (seed, requests, spec). A torn frame and
     a dropped connection on one ordinal cannot coexist (torn wins):
     the client can only vanish one way. *)
-val generate : ?label:string -> seed:int -> requests:int -> spec -> t
-
-(** Canonical JSON (round-trips through {!of_json}). *)
-val to_json : t -> Json.t
-
-val of_json : Json.t -> (t, Error.t) result
-
-val to_string : t -> string
-
-val of_string : string -> (t, Error.t) result
-
-val pp : Format.formatter -> t -> unit
+val generate : seed:int -> requests:int -> spec -> t

@@ -95,82 +95,18 @@ let resolve_workers workers =
 (* -- cluster dispatch ---------------------------------------------------- *)
 
 (* What one worker process sends back: its rows, its slice of the
-   status array (record policy), its counter deltas, the memo entries
-   it inserted (so the parent can fold them into the shared table —
-   what keeps a cross-run [memo_cache] warm across the process
-   boundary), and its observability collections. Pure data: this
-   record crosses the process boundary via [Marshal]. *)
+   status array (record policy), its counter deltas and the memo
+   entries it inserted (so the parent can fold them into the shared
+   table — what keeps a cross-run [memo_cache] warm across the process
+   boundary). Pure data: this record crosses the process boundary via
+   [Marshal]; [Util.Cluster] carries the worker's trace alongside. *)
 type shard_payload = {
   sp_rows : int array array;
   sp_statuses : Fault.status array;  (* [||] under the raise policy *)
   sp_hits : int;
   sp_retries : int;
   sp_memo : (int * int array * int array) list;  (* (hash, key, out) *)
-  sp_events : Obs.Span.event list;
-  sp_metrics : (string * Obs.Metrics.value) list;
 }
-
-(* Exceptions escaping a worker shard, made marshalable: the classes
-   callers pattern-match on ([Invalid_argument] from the arity check,
-   [Failure], F-coded fault errors) survive the process boundary
-   typed; anything else degrades to its printed form. The
-   [Parallel.Worker_error] wrapper is unwrapped first — its chunk
-   coordinates are child-relative and would mislead. *)
-type wire_exn =
-  | W_invalid of string
-  | W_failure of string
-  | W_fault of Fault.Error.t
-  | W_other of string
-
-let wire_exn_of e =
-  let e =
-    match e with
-    | Util.Parallel.Worker_error { error; _ } -> error
-    | e -> e
-  in
-  match e with
-  | Invalid_argument m -> W_invalid m
-  | Failure m -> W_failure m
-  | Fault.Error.E err -> W_fault err
-  | e -> W_other (Printexc.to_string e)
-
-let reraise_wire = function
-  | W_invalid m -> raise (Invalid_argument m)
-  | W_failure m -> raise (Failure m)
-  | W_fault err -> raise (Fault.Error.E err)
-  | W_other m -> failwith ("cluster worker failed: " ^ m)
-
-(* In a freshly forked worker: drop the trace state copied from the
-   parent so the child ships only spans/metrics it recorded itself. *)
-let child_obs_reset () = if Obs.enabled () then Obs.reset ()
-
-let child_obs_payload () =
-  if Obs.enabled () then
-    ( Obs.Span.collect (),
-      List.filter
-        (fun (_, v) -> not (Obs.Metrics.is_zero v))
-        (Obs.Metrics.snapshot ()) )
-  else ([], [])
-
-(* Merge worker payloads in rank order: memo entries into the parent
-   table (first-writer-wins keeps racing duplicates harmless), spans
-   and metrics into the parent trace (dense-rank renaming happens in
-   [Obs.Span.absorb]/[collect]), counter deltas into [hits]/[retries]
-   accumulators. Row concatenation is the caller's job. *)
-let merge_shards ~cache ~hits_acc ~retries_acc shards =
-  Array.iter
-    (fun p ->
-      (match cache with
-      | Some c ->
-        List.iter
-          (fun (h, k, v) -> Util.Keytab.add c.mc_tbl ~hash:h k v)
-          (List.rev p.sp_memo)
-      | None -> ());
-      hits_acc := !hits_acc + p.sp_hits;
-      retries_acc := !retries_acc + p.sp_retries;
-      Obs.Span.absorb p.sp_events;
-      Obs.Metrics.absorb p.sp_metrics)
-    shards
 
 (* -- the execution core -------------------------------------------------- *)
 
@@ -435,63 +371,50 @@ let execute ~policy ~seed ~ids ~n_declared ~domains ~workers ~problem
           if domains_used = 1 then insert () else Mutex.protect lock insert;
           out
   in
-  let rows lo hi =
-    Util.Parallel.init ~domains:domains_used (hi - lo) (fun i ->
-        compute (lo + i))
+  let rows ~domains lo hi =
+    Util.Parallel.init ~domains (hi - lo) (fun i -> compute (lo + i))
   in
   let cluster_hits = ref 0 in
   let cluster_retries = ref 0 in
   (* One worker process per contiguous node range; each child runs the
      domain-parallel engine above on its shard (reading halo balls
      straight out of the copy-on-write graph) and ships rows, its
-     status slice, counter deltas, memo insertions and trace
-     collections back as one frame. Rank-order concatenation and
-     status blits make the outcome bit-identical to the single-process
-     run (the kill-worker chaos job diffs exactly this). A worker that
-     dies is recovered in-process: [recover] skips the child-only
-     trace reset, its effects (hit counters, memo inserts, statuses)
-     land in parent state directly, and exceptions propagate raw as in
-     the single-process engine. *)
+     status slice, counter deltas and memo insertions back as one
+     frame. Rank-order concatenation and status blits make the outcome
+     bit-identical to the single-process run (the kill-worker chaos
+     job diffs exactly this). A range no worker delivered is computed
+     in the parent on one domain, so the parent can still fork: its
+     effects (hit counters, memo inserts, statuses) land in parent
+     state directly, and it raises what a one-process run raises. *)
   let cluster_simulate () =
     let shard lo hi =
-      match
-        child_obs_reset ();
-        let rows = rows lo hi in
-        let events, metrics = child_obs_payload () in
-        {
-          sp_rows = rows;
-          sp_statuses =
-            (if Array.length statuses = 0 then [||]
-             else Array.sub statuses lo (hi - lo));
-          sp_hits = Atomic.get hits + !hits_seq;
-          sp_retries = Atomic.get retried;
-          sp_memo = !journal;
-          sp_events = events;
-          sp_metrics = metrics;
-        }
-      with
-      | p -> Ok p
-      | exception e -> Error (wire_exn_of e)
+      (* computed first: the other fields read what it leaves behind *)
+      let sp_rows = rows ~domains:domains_used lo hi in
+      {
+        sp_rows;
+        sp_statuses =
+          (if Array.length statuses = 0 then [||]
+           else Array.sub statuses lo (hi - lo));
+        sp_hits = Atomic.get hits + !hits_seq;
+        sp_retries = Atomic.get retried;
+        sp_memo = !journal;
+      }
     in
     let recover lo hi =
-      Ok
-        {
-          sp_rows = rows lo hi;
-          sp_statuses = [||];
-          sp_hits = 0;
-          sp_retries = 0;
-          sp_memo = [];
-          sp_events = [];
-          sp_metrics = [];
-        }
+      {
+        sp_rows = rows ~domains:1 lo hi;
+        sp_statuses = [||];
+        sp_hits = 0;
+        sp_retries = 0;
+        sp_memo = [];
+      }
     in
     let shards =
       Util.Cluster.map_ranges ~workers:workers_used ~recover ~n shard
     in
-    Array.iter (function Error w -> reraise_wire w | Ok _ -> ()) shards;
-    let shards =
-      Array.map (function Ok p -> p | Error _ -> assert false) shards
-    in
+    (* merge in rank order: status slices into place, memo entries into
+       the parent table (first-writer-wins keeps racing duplicates
+       harmless), counter deltas into the accumulators *)
     Array.iteri
       (fun rank p ->
         if Array.length p.sp_statuses > 0 then begin
@@ -500,9 +423,15 @@ let execute ~policy ~seed ~ids ~n_declared ~domains ~workers ~problem
           in
           Array.blit p.sp_statuses 0 statuses lo
             (Array.length p.sp_statuses)
-        end)
-      shards;
-    merge_shards ~cache ~hits_acc:cluster_hits ~retries_acc:cluster_retries
+        end;
+        (match cache with
+        | Some c ->
+          List.iter
+            (fun (h, k, v) -> Util.Keytab.add c.mc_tbl ~hash:h k v)
+            (List.rev p.sp_memo)
+        | None -> ());
+        cluster_hits := !cluster_hits + p.sp_hits;
+        cluster_retries := !cluster_retries + p.sp_retries)
       shards;
     Array.concat (Array.to_list (Array.map (fun p -> p.sp_rows) shards))
   in

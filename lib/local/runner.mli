@@ -40,9 +40,12 @@ val memo_cache : unit -> memo_cache
     order-invariance speedups do). [seed] drives both the identifier
     assignment and the per-node randomness. This is the fault-free
     projection of the engine behind [run_resilient]: an exception the
-    algorithm raises propagates (wrapped in [Util.Parallel.Worker_error]
-    when [domains] > 1), and a wrong output arity raises
-    [Invalid_argument].
+    algorithm raises propagates, and a wrong output arity raises
+    [Invalid_argument]. Both come wrapped in [Util.Parallel.Worker_error]
+    when the run spawned domains in this process ([workers] = 1 and
+    [domains] > 1); under [workers] > 1 they come bare, because the
+    parent recomputes a range whose worker raised on one domain (see
+    [Util.Cluster.map_ranges]).
 
     [domains] sets the worker count of the deterministic parallel
     engine (default: $LCL_DOMAINS, else 1 = sequential); the labeling

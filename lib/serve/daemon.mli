@@ -50,8 +50,8 @@ type config = {
   cluster_timeout_ms : int option;
       (** installed via [Util.Cluster.set_default_timeout] at startup,
           so every computation inherits a worker drain bound even
-          without a request budget (default [None] = keep the
-          [LCL_CLUSTER_TIMEOUT_MS]-seeded global) *)
+          without a request budget (default [None] = keep the current
+          global, which starts unbounded) *)
   chaos : Fault.Service.t;
       (** daemon-side chaos events, applied by engine-request ordinal
           (client-side events are ignored here); [Service.empty]

@@ -10,13 +10,17 @@
    The halo problem — a boundary node's radius-T ball reaching into a
    neighbor shard — is solved by fork semantics: every child holds the
    whole CSR graph copy-on-write, so cross-shard reads are plain array
-   loads. Nothing is shipped back but the per-range result. *)
+   loads. Nothing is shipped back but the per-range result and the
+   trace the worker recorded.
+
+   One recovery rule: a range's output depends only on the range, so a
+   rank that delivers no value — its worker died, timed out or raised,
+   or was never forked — is computed again in the parent, where it
+   gives the same bytes or raises what a one-process run raises. *)
 
 let env_var = "LCL_WORKERS"
 let kill_env_var = "LCL_CLUSTER_KILL_RANK"
 let stall_env_var = "LCL_CLUSTER_STALL_RANK"
-let stall_ms_env_var = "LCL_CLUSTER_STALL_MS"
-let timeout_env_var = "LCL_CLUSTER_TIMEOUT_MS"
 
 (* Unlike [Parallel.default_domains], the env value is NOT capped at
    the core count: worker processes share no runtime, so
@@ -36,26 +40,26 @@ let default_workers () =
 
 let block_bounds ~n ~workers b = Parallel.block_bounds ~n ~d:workers b
 
-exception
-  Worker_error of { rank : int; lo : int; hi : int; message : string }
-
-let () =
-  Printexc.register_printer (function
-    | Worker_error { rank; lo; hi; message } ->
-      Some
-        (Printf.sprintf "Cluster.Worker_error rank %d (range [%d,%d)): %s"
-           rank lo hi message)
-    | _ -> None)
-
 let resolve workers =
   match workers with Some w -> max 1 w | None -> default_workers ()
+
+let reap pid =
+  let rec go () =
+    match Unix.waitpid [] pid with
+    | _ -> ()
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+    (* a SIGCHLD reaper (the serve daemon installs one) may have
+       collected the child already *)
+    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  in
+  go ()
 
 (* The OCaml 5 runtime refuses [Unix.fork] in a process that has EVER
    created a domain (even joined ones): multi-process and in-process
    multi-domain execution compose only child-side — fork first, spawn
    domains inside the workers. [can_fork] feature-detects with a probe
    fork, because the runtime exposes no "domains were created" query;
-   [map_ranges] falls back to in-process evaluation when forking is
+   [map_ranges] computes every range in the parent when forking is
    unavailable, so a mixed workload (e.g. a test suite that ran the
    domain engine before the cluster engages) degrades to the
    bit-identical single-process result instead of failing. *)
@@ -65,50 +69,23 @@ let can_fork () =
   match Unix.fork () with
   | 0 -> Unix._exit 0
   | pid ->
-    let rec reap () =
-      match Unix.waitpid [] pid with
-      | _ -> ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> reap ()
-      | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-    in
-    reap ();
+    reap pid;
     true
   | exception _ -> false
 
-let kill_rank () =
-  match Sys.getenv_opt kill_env_var with
-  | None -> None
-  | Some s -> int_of_string_opt (String.trim s)
-
-let stall_rank () =
-  match Sys.getenv_opt stall_env_var with
+let rank_of_env var =
+  match Sys.getenv_opt var with
   | None -> None
   | Some s -> int_of_string_opt (String.trim s)
 
 (* How long a stalled chaos worker sleeps before computing: long
    enough that any sane per-worker timeout reaps it first. *)
-let stall_seconds () =
-  match Sys.getenv_opt stall_ms_env_var with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some ms when ms >= 0 -> float_of_int ms /. 1000.
-    | _ -> 600.)
-  | None -> 600.
+let stall_seconds = 600.
 
-(* Per-worker drain timeout when [map_ranges ?timeout_s] is omitted:
-   a process-global default (the serve daemon sets it once at startup
-   so every nested cluster call inherits it), seeded from
-   [$LCL_CLUSTER_TIMEOUT_MS]. [None] = wait forever (the seed
-   behaviour). *)
-let default_timeout_s : float option ref =
-  ref
-    (match Sys.getenv_opt timeout_env_var with
-    | None -> None
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some ms when ms > 0 -> Some (float_of_int ms /. 1000.)
-      | _ -> None))
-
+(* Per-worker drain timeout: a process-global default (the serve
+   daemon sets it once at startup so every nested cluster call
+   inherits it). [None] = wait forever. *)
+let default_timeout_s : float option ref = ref None
 let set_default_timeout t = default_timeout_s := t
 let default_timeout () = !default_timeout_s
 
@@ -122,10 +99,15 @@ let m_deaths = Obs.Metrics.counter "cluster.worker.deaths"
 let m_timeouts = Obs.Metrics.counter "cluster.worker.timeouts"
 let m_recovered = Obs.Metrics.counter "cluster.recovered"
 
-(* What came back over a worker's socket. [Died] covers EOF before the
-   answer, a torn frame, and a reaped stall alike: in every case the
-   child is gone and the range must be recomputed. *)
-type 'a answer = Answered of ('a, string) result | Died
+(* What a rank came to. A worker ships [Value] (its result with the
+   spans and nonzero metrics it recorded) or [Missing] (its function
+   raised, or the result would not marshal); the parent alone knows
+   [Lost] (the worker died, tore its frame, or was reaped on timeout)
+   and gives a never-forked rank [Missing]. *)
+type 'a answer =
+  | Value of 'a * Obs.Span.event list * (string * Obs.Metrics.value) list
+  | Missing
+  | Lost
 
 type drained = Frame of string | Eof | Timed_out
 
@@ -167,34 +149,30 @@ let drain_answer rd ~deadline =
     in
     try loop () with Exit -> Eof | Framing.Corrupt _ -> Eof)
 
-let reap pid =
-  let rec go () =
-    match Unix.waitpid [] pid with
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-    (* a SIGCHLD reaper (the serve daemon installs one) may have
-       collected the child already *)
-    | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
-  in
-  go ()
-
+(* The worker: drop the trace copied from the parent, compute, ship
+   the value with the worker's own trace. *)
 let run_child ~rank ~lo ~hi wr f =
-  (match kill_rank () with
-  | Some r when r = rank -> Unix.kill (Unix.getpid ()) Sys.sigkill
-  | _ -> ());
-  (match stall_rank () with
-  | Some r when r = rank -> Unix.sleepf (stall_seconds ())
-  | _ -> ());
-  let result = try Ok (f lo hi) with e -> Error (Printexc.to_string e) in
+  if rank_of_env kill_env_var = Some rank then
+    Unix.kill (Unix.getpid ()) Sys.sigkill;
+  if rank_of_env stall_env_var = Some rank then Unix.sleepf stall_seconds;
+  if Obs.enabled () then Obs.reset ();
+  let answer =
+    match f lo hi with
+    | v ->
+      if Obs.enabled () then
+        Value
+          ( v,
+            Obs.Span.collect (),
+            List.filter
+              (fun (_, m) -> not (Obs.Metrics.is_zero m))
+              (Obs.Metrics.snapshot ()) )
+      else Value (v, [], [])
+    | exception _ -> Missing
+  in
   (try
      let payload =
-       try Marshal.to_string result []
-       with e ->
-         Marshal.to_string
-           (Error (Printf.sprintf "unmarshalable worker result: %s"
-                     (Printexc.to_string e))
-             : (_, string) result)
-           []
+       try Marshal.to_string answer []
+       with _ -> Marshal.to_string (Missing : _ answer) []
      in
      Framing.write_frame wr payload
    with _ -> ());
@@ -202,90 +180,79 @@ let run_child ~rank ~lo ~hi wr f =
      handlers (test reporters, output flushing) on copied state *)
   Unix._exit 0
 
-let map_ranges ?workers ?timeout_s ?on_recover ?recover ~n f =
+(* Fork every rank, then drain them in rank order. Later workers block
+   in [write] until their turn, which is harmless — their compute is
+   already done — and it keeps peak parent-side buffering at one
+   frame. Each rank's drain is bounded by the default timeout,
+   measured from when its turn starts (all ranks compute concurrently,
+   so a healthy later rank has typically already answered); a rank
+   that exceeds it is SIGKILLed. A rank that could not be forked is
+   [Missing]. *)
+let run_workers ~n ~workers f =
+  let spawn rank =
+    let rd, wr = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.fork () with
+    | 0 ->
+      Unix.close rd;
+      let lo, hi = block_bounds ~n ~workers rank in
+      run_child ~rank ~lo ~hi wr f
+    | pid ->
+      Unix.close wr;
+      Some (pid, rd)
+    | exception Unix.Unix_error _ ->
+      Unix.close rd;
+      Unix.close wr;
+      None
+  in
+  let drain = function
+    | None -> Missing
+    | Some (pid, rd) ->
+      let deadline =
+        Option.map (fun s -> Unix.gettimeofday () +. s) !default_timeout_s
+      in
+      let a =
+        match drain_answer rd ~deadline with
+        | Frame payload -> (Marshal.from_string payload 0 : _ answer)
+        | Eof ->
+          Obs.Metrics.incr m_deaths;
+          Lost
+        | Timed_out ->
+          Obs.Metrics.incr m_timeouts;
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          Lost
+      in
+      Unix.close rd;
+      reap pid;
+      a
+  in
+  Array.map drain (Array.init workers spawn)
+
+let map_ranges ?workers ?recover ~n f =
   let w = min (resolve workers) (max 1 n) in
-  let timeout_s =
-    match timeout_s with Some _ as t -> t | None -> !default_timeout_s
-  in
-  let on_recover = Option.value on_recover ~default:(fun _ -> ()) in
-  let recover = Option.value recover ~default:f in
-  let in_process which =
-    Array.init (max 1 w) (fun b ->
-        let lo, hi = block_bounds ~n ~workers:(max 1 w) b in
-        which lo hi)
-  in
-  if w <= 1 || not Sys.unix then in_process f
-  else if not (can_fork ()) then
-    (* fork unavailable (a domain was created in this process):
-       degrade to in-process rank-order evaluation — [recover], not
-       [f], because [f] may perform child-only setup *)
-    in_process recover
+  if w <= 1 then [| f 0 n |]
   else begin
-    let spawn rank =
-      let rd, wr = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      match Unix.fork () with
-      | 0 ->
-        Unix.close rd;
-        let lo, hi = block_bounds ~n ~workers:w rank in
-        run_child ~rank ~lo ~hi wr f
-      | pid ->
-        Unix.close wr;
-        (pid, rd)
-      | exception e ->
-        Unix.close rd;
-        Unix.close wr;
-        raise e
-    in
-    let children = Array.init w spawn in
-    (* Drain in rank order: later workers block in [write] until their
-       turn, which is harmless — their compute is already done — and
-       it keeps peak parent-side buffering at one frame. Each rank's
-       drain is bounded by [timeout_s] (measured from when its turn
-       starts — all ranks compute concurrently, so a healthy later
-       rank has typically already answered); a rank that exceeds it is
-       SIGKILLed and recomputed like any dead worker. *)
+    let recover = Option.value recover ~default:f in
     let answers =
-      Array.map
-        (fun (pid, rd) ->
-          let deadline =
-            Option.map (fun s -> Unix.gettimeofday () +. s) timeout_s
-          in
-          let a =
-            match drain_answer rd ~deadline with
-            | Frame payload -> Answered (Marshal.from_string payload 0)
-            | Eof ->
-              Obs.Metrics.incr m_deaths;
-              Died
-            | Timed_out ->
-              Obs.Metrics.incr m_timeouts;
-              (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-              Died
-          in
-          Unix.close rd;
-          reap pid;
-          a)
-        children
+      if can_fork () then run_workers ~n ~workers:w f
+      else Array.make w Missing
     in
-    (* All workers reaped; now resolve. Failures surface lowest rank
-       first, matching [Parallel]'s lowest-index rule. *)
-    Array.iteri
-      (fun rank a ->
-        match a with
-        | Answered (Error message) ->
-          let lo, hi = block_bounds ~n ~workers:w rank in
-          raise (Worker_error { rank; lo; hi; message })
-        | _ -> ())
-      answers;
+    let recompute rank =
+      let lo, hi = block_bounds ~n ~workers:w rank in
+      recover lo hi
+    in
+    (* every worker is reaped; resolve in rank order, so the first
+       range that raises in the parent is the lowest one *)
     Array.mapi
       (fun rank a ->
         match a with
-        | Answered (Ok v) -> v
-        | Answered (Error _) -> assert false
-        | Died ->
+        | Value (v, events, metrics) ->
+          Obs.Span.absorb events;
+          Obs.Metrics.absorb metrics;
+          v
+        | Missing -> recompute rank
+        | Lost ->
           incr recoveries_total;
           Obs.Metrics.incr m_recovered;
-          on_recover rank;
-          let lo, hi = block_bounds ~n ~workers:w rank in
-          recover lo hi)
+          recompute rank)
       answers
   end

@@ -8,12 +8,14 @@
     sees the entire host graph by copy-on-write, which is how a shard
     reads the radius-T halo balls that straddle its boundary without
     any communication. Results come back as one [Marshal]ed
-    length-prefixed frame per worker over a socketpair.
+    length-prefixed frame per worker over a socketpair, together with
+    the spans and metrics the worker recorded.
 
-    A worker that dies without answering (killed, crashed) is
-    recovered: the parent recomputes that range in-process, so the
-    merged result is unchanged — the property the kill-worker chaos CI
-    job pins down. *)
+    One rule covers every range a worker does not deliver — the worker
+    was killed, timed out or raised, or was never forked: the parent
+    computes it itself, so the merged result is unchanged (the
+    property the kill-worker chaos CI job pins down) and an exception
+    is the one a single-process run raises. *)
 
 (** Worker count source when [?workers] is omitted: [$LCL_WORKERS]. *)
 val env_var : string
@@ -24,27 +26,22 @@ val env_var : string
 val kill_env_var : string
 
 (** Chaos hook: when [$LCL_CLUSTER_STALL_RANK] is set to rank [r], the
-    rank-[r] worker sleeps [$LCL_CLUSTER_STALL_MS] (default 600 000)
-    before computing — long enough that a per-worker timeout reaps it,
-    exercising the SIGKILL + recompute path. *)
+    rank-[r] worker sleeps 600 s before computing — long enough that a
+    drain timeout reaps it, exercising the SIGKILL + recompute path. *)
 val stall_env_var : string
 
-val stall_ms_env_var : string
-
-(** Seeds {!default_timeout} at startup (milliseconds; unset or
-    unparsable = no timeout). *)
-val timeout_env_var : string
-
-(** Per-worker drain timeout used when [map_ranges ?timeout_s] is
-    omitted. The serve daemon sets it once at startup so every nested
-    cluster call inherits the budget without signature plumbing. *)
+(** Per-worker drain timeout of every [map_ranges] call ([None], the
+    initial value, waits forever). The serve daemon sets it once at
+    startup so every nested cluster call inherits the budget without
+    signature plumbing. *)
 val set_default_timeout : float option -> unit
 
 val default_timeout : unit -> float option
 
-(** Ranges recovered in-process after their worker died or timed out,
+(** Ranges recomputed in-process after their worker died or timed out,
     since process start. Sample before/after a computation to learn
-    whether it took the degraded path. *)
+    whether it took the degraded path. A range recomputed because its
+    worker raised, or because nothing was forked, does not count. *)
 val recoveries : unit -> int
 
 (** [LCL_WORKERS], else 1. Values below 1 or unparsable fall back
@@ -65,40 +62,27 @@ val block_bounds : n:int -> workers:int -> int -> int * int
     inside the workers. Feature-detected with a probe fork. *)
 val can_fork : unit -> bool
 
-(** A worker range whose computation raised, with the worker's own
-    error text (the exception crossed the process boundary as a
-    string). Raised in the parent after all workers are reaped. *)
-exception
-  Worker_error of { rank : int; lo : int; hi : int; message : string }
-
 (** [map_ranges ?workers ~n f] evaluates [f lo hi] for each of the
     [workers] contiguous ranges covering [0, n) — each range in a
     forked child process — and returns the per-rank results in rank
     order. With 1 worker (or [n = 0]) nothing is forked and [f] runs
     in-process.
 
-    [f] must be pure per range. Its result crosses the process
-    boundary via [Marshal], so it must not contain closures or custom
-    blocks. If a child dies without answering, the parent recomputes
-    its range by calling [recover lo hi] (default [f]) in-process —
-    pass a distinct [recover] when [f] performs child-only setup
-    (e.g. resetting inherited observability state) that must not run
-    in the parent. When forking is unavailable (see [can_fork]) every
-    range is evaluated in-process via [recover], in rank order — same
-    result, one process.
+    [f] must be pure per range. The child drops the trace state it
+    inherited, and when observability is on it ships its spans and
+    nonzero metrics with its result; the parent absorbs them in rank
+    order.
 
-    [timeout_s] (default {!default_timeout}) bounds each rank's drain:
-    a worker that has not delivered its frame within the budget —
-    measured from when its rank's turn to drain starts — is SIGKILLed
-    and its range recovered in-process, exactly like a worker that
-    died on its own. The bounded drain catches mid-frame stalls too
-    (non-blocking decode under [select]). [on_recover] fires with the
-    rank for every recovered range. *)
+    A rank that delivers no value is computed in the parent by
+    [recover lo hi] (default [f]), in rank order, after every worker
+    has been reaped: its worker died, tore its frame or outlived the
+    {!default_timeout} (it is then SIGKILLed), its [f] raised, its
+    result would not [Marshal] (closures, custom blocks), or it was
+    never forked because {!can_fork} is false. [recover] must not
+    spawn a domain — that would stop this process from forking for
+    good — so pass a one-domain [recover] when [f] runs the domain
+    engine. Whatever [recover] raises propagates, lowest rank first.
+    Only deaths and timeouts count in {!recoveries}. *)
 val map_ranges :
-  ?workers:int ->
-  ?timeout_s:float ->
-  ?on_recover:(int -> unit) ->
-  ?recover:(int -> int -> 'a) ->
-  n:int ->
-  (int -> int -> 'a) ->
-  'a array
+  ?workers:int -> ?recover:(int -> int -> 'a) -> n:int ->
+  (int -> int -> 'a) -> 'a array

@@ -102,20 +102,18 @@ let write_frame fd payload =
 
 (* [exactly] distinguishes "EOF before any byte" (a worker that exited
    without answering — the recovery path) from "EOF mid-frame" (a torn
-   stream — corrupt). *)
+   stream — corrupt). A signal that interrupts the read is neither: the
+   read is retried. *)
 let read_exactly fd b pos len =
-  let got = ref 0 in
-  (try
-     while !got < len do
-       let k =
-         try Unix.read fd b (pos + !got) (len - !got) with
-         | Unix.Unix_error (Unix.EINTR, _, _) -> 0
-       in
-       if k = 0 && len - !got > 0 then raise Exit;
-       got := !got + k
-     done
-   with Exit -> ());
-  !got
+  let rec go got =
+    if got = len then got
+    else
+      match Unix.read fd b (pos + got) (len - got) with
+      | 0 -> got
+      | k -> go (got + k)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go got
+  in
+  go 0
 
 let read_frame fd =
   let hdr = Bytes.create header_bytes in

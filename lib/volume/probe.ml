@@ -181,86 +181,24 @@ let resolve_workers workers =
   | Some w -> max 1 w
   | None -> Util.Cluster.default_workers ()
 
-(* Exceptions escaping a worker shard, made marshalable: the budget
-   and probe-validity exceptions callers pattern-match on are rebuilt
-   typed in the parent; anything else degrades to its printed form
-   (the [Parallel.Worker_error] wrapper is unwrapped first — its
-   chunk coordinates are child-relative). *)
-type wire_exn =
-  | W_budget of { algo : string; node : int; budget : int }
-  | W_bad_probe of string
-  | W_invalid of string
-  | W_failure of string
-  | W_other of string
-
-let wire_exn_of e =
-  let e =
-    match e with
-    | Util.Parallel.Worker_error { error; _ } -> error
-    | e -> e
-  in
-  match e with
-  | Budget_exceeded { algo; node; budget } -> W_budget { algo; node; budget }
-  | Bad_probe m -> W_bad_probe m
-  | Invalid_argument m -> W_invalid m
-  | Failure m -> W_failure m
-  | e -> W_other (Printexc.to_string e)
-
-let reraise_wire = function
-  | W_budget { algo; node; budget } ->
-    raise (Budget_exceeded { algo; node; budget })
-  | W_bad_probe m -> raise (Bad_probe m)
-  | W_invalid m -> raise (Invalid_argument m)
-  | W_failure m -> raise (Failure m)
-  | W_other m -> failwith ("cluster worker failed: " ^ m)
-
 (* Cluster dispatch: queries are pure per node (they only read the
    host graph, the id assignment and the compiled plan, all of which
    every forked worker holds copy-on-write), so sharding the node
    range over worker processes and concatenating in rank order
-   reproduces the single-process answer array bit for bit. Workers
-   ship their trace collections back alongside the rows; a worker
-   that dies — or a process in which forking is unavailable — is
-   recovered in-process (see [Util.Cluster]). *)
-let cluster_init ~workers ~domains n f =
-  let shard lo hi =
-    match
-      (if Obs.enabled () then Obs.reset ());
-      let rows =
-        Util.Parallel.init ?domains (hi - lo) (fun i -> f (lo + i))
-      in
-      let obs =
-        if Obs.enabled () then
-          ( Obs.Span.collect (),
-            List.filter
-              (fun (_, v) -> not (Obs.Metrics.is_zero v))
-              (Obs.Metrics.snapshot ()) )
-        else ([], [])
-      in
-      (rows, obs)
-    with
-    | p -> Ok p
-    | exception e -> Error (wire_exn_of e)
-  in
-  let recover lo hi =
-    Ok (Util.Parallel.init ?domains (hi - lo) (fun i -> f (lo + i)), ([], []))
-  in
-  let shards = Util.Cluster.map_ranges ~workers ~recover ~n shard in
-  Array.iter (function Error w -> reraise_wire w | Ok _ -> ()) shards;
-  let shards =
-    Array.map (function Ok p -> p | Error _ -> assert false) shards
-  in
-  Array.iter
-    (fun (_, (events, metrics)) ->
-      Obs.Span.absorb events;
-      Obs.Metrics.absorb metrics)
-    shards;
-  Array.concat (Array.to_list (Array.map fst shards))
-
+   reproduces the single-process answer array bit for bit. A range no
+   worker delivered is computed in the parent on one domain (see
+   [Util.Cluster]). *)
 let parallel_init ?domains ?workers n f =
   let workers_used = min (resolve_workers workers) (max 1 n) in
   if workers_used <= 1 then Util.Parallel.init ?domains n f
-  else cluster_init ~workers:workers_used ~domains n f
+  else
+    let range domains lo hi =
+      Util.Parallel.init ?domains (hi - lo) (fun i -> f (lo + i))
+    in
+    Array.concat
+      (Array.to_list
+         (Util.Cluster.map_ranges ~workers:workers_used
+            ~recover:(range (Some 1)) ~n (range domains)))
 
 (* The one VOLUME engine: every query on the deterministic parallel
    engine, [ids k] being the identifier assignment of attempt [k]

@@ -38,12 +38,14 @@ type outcome = {
 (** Run the algorithm for every node under the given identifiers and
     verify the assembled labeling: the fault-free projection of the
     engine behind [run_resilient], so [Budget_exceeded], [Bad_probe]
-    and the algorithm's own exceptions propagate. Queries are answered
-    on the deterministic parallel engine ([domains] as in
-    [Local.Runner.run], default $LCL_DOMAINS), optionally sharded
-    across [workers] forked processes ([workers] as in
-    [Local.Runner.run], default $LCL_WORKERS); results are identical
-    for any (workers, domains) combination. *)
+    and the algorithm's own exceptions propagate — wrapped in
+    [Util.Parallel.Worker_error] only when domains were spawned in
+    this process, bare under [workers] > 1, as in [Local.Runner.run].
+    Queries are answered on the deterministic parallel engine
+    ([domains] as in [Local.Runner.run], default $LCL_DOMAINS),
+    optionally sharded across [workers] forked processes ([workers] as
+    in [Local.Runner.run], default $LCL_WORKERS); results are
+    identical for any (workers, domains) combination. *)
 val run_with_ids :
   ?n_declared:int -> ?domains:int -> ?workers:int ->
   problem:Lcl.Problem.t -> t -> Graph.t -> ids:int array -> outcome

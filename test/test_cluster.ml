@@ -210,14 +210,21 @@ let test_map_ranges_basic () =
 
 let test_map_ranges_worker_error () =
   check_fork_available ();
-  check bool "worker exception surfaces as Worker_error" true
+  let before = Util.Cluster.recoveries () in
+  check bool "a raising range raises its own exception in the parent" true
     (match
        Util.Cluster.map_ranges ~workers:3 ~n:30 (fun lo _ ->
            if lo >= 10 then failwith "boom" else lo)
      with
     | _ -> false
-    | exception Util.Cluster.Worker_error { rank; message; _ } ->
-      rank = 1 && message = "Failure(\"boom\")")
+    | exception Failure m -> m = "boom");
+  let thunks =
+    Util.Cluster.map_ranges ~workers:3 ~n:30 (fun lo _ () -> lo)
+  in
+  check (array int) "a result Marshal rejects is computed in the parent"
+    [| 0; 10; 20 |]
+    (Array.map (fun f -> f ()) thunks);
+  check int "neither is a recovery" before (Util.Cluster.recoveries ())
 
 let test_map_ranges_kill_recovery () =
   check_fork_available ();
@@ -233,7 +240,32 @@ let test_map_ranges_kill_recovery () =
 let test_map_ranges_env_default () =
   Helpers.with_env Util.Cluster.env_var "3" (fun () ->
       check int "env worker count" 3 (Util.Cluster.default_workers ()));
-  check int "unset means 1" 1 (Util.Cluster.default_workers ())
+  Helpers.with_env Util.Cluster.env_var "" (fun () ->
+      check int "empty means 1" 1 (Util.Cluster.default_workers ()))
+
+(* A signal that lands while the parent waits for a worker's frame
+   interrupts the read; the worker is alive and answers, so nothing
+   may be recomputed. The timer is not inherited by the workers. *)
+let test_map_ranges_signal_during_drain () =
+  check_fork_available ();
+  let saved_handler = Sys.signal Sys.sigalrm (Sys.Signal_handle ignore) in
+  let saved_timer =
+    Unix.setitimer Unix.ITIMER_REAL
+      { Unix.it_interval = 0.02; it_value = 0.02 }
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.setitimer Unix.ITIMER_REAL saved_timer);
+      Sys.set_signal Sys.sigalrm saved_handler)
+    (fun () ->
+      let before = Util.Cluster.recoveries () in
+      let r =
+        Util.Cluster.map_ranges ~workers:2 ~n:20 (fun lo hi ->
+            if lo = 0 then Unix.sleepf 0.3;
+            (hi * 100) + lo)
+      in
+      check (array int) "values" [| 1000; 2010 |] r;
+      check int "no range recovered" before (Util.Cluster.recoveries ()))
 
 (* -- disk cache ---------------------------------------------------------- *)
 
@@ -521,22 +553,29 @@ let test_map_ranges_stall_recovery () =
   check_fork_available ();
   (* rank 1 sleeps far past the drain timeout: the parent must reap it
      and recompute the range in-process, bit-identically *)
+  let saved = Util.Cluster.default_timeout () in
+  Util.Cluster.set_default_timeout (Some 0.3);
+  Fun.protect ~finally:(fun () -> Util.Cluster.set_default_timeout saved)
+  @@ fun () ->
   Helpers.with_env Util.Cluster.stall_env_var "1" (fun () ->
-      let recovered = ref [] in
+      let recomputed = ref [] in
+      let f lo hi = (hi * 100) + lo in
       let before = Util.Cluster.recoveries () in
       let r =
-        Util.Cluster.map_ranges ~workers:3 ~timeout_s:0.3
-          ~on_recover:(fun rank -> recovered := rank :: !recovered)
-          ~n:30
-          (fun lo hi -> hi * 100 + lo)
+        Util.Cluster.map_ranges ~workers:3 ~n:30
+          ~recover:(fun lo hi ->
+            recomputed := lo :: !recomputed;
+            f lo hi)
+          f
       in
       check bool "stalled rank reaped and recomputed bit-identically" true
         (r
         = Array.init 3 (fun b ->
               let lo, hi = Util.Cluster.block_bounds ~n:30 ~workers:3 b in
-              hi * 100 + lo));
-      check (list int) "exactly rank 1 recovered" [ 1 ] !recovered;
-      check bool "recovery counted" true (Util.Cluster.recoveries () > before))
+              f lo hi));
+      check (list int) "exactly rank 1 recomputed" [ 10 ] !recomputed;
+      check int "one recovery counted" (before + 1)
+        (Util.Cluster.recoveries ()))
 
 (* -- diskcache: bounded lock + quarantine ---------------------------------- *)
 
@@ -612,9 +651,6 @@ let test_service_plan_roundtrip () =
   let p2 = Fault.Service.generate ~seed:11 ~requests:50 spec in
   check bool "generation is deterministic" true (p1 = p2);
   check bool "some events drawn" true (not (Fault.Service.is_empty p1));
-  (match Fault.Service.of_string (Fault.Service.to_string p1) with
-  | Ok p -> check bool "JSON round-trip" true (p = p1)
-  | Error e -> fail (Fault.Error.to_string e));
   (* torn wins over drop on one ordinal: the client can only vanish
      one way *)
   let conflicted =
@@ -893,19 +929,37 @@ let test_runner_matrix_memo_warm () =
   check int "warm run hits on every node" (Graph.n g)
     second.Local.Runner.stats.Local.Runner.cache_hits
 
+exception Boom of int
+
+(* A range whose worker raised is computed again in the parent, on one
+   domain, so an exception surfaces as in a one-process run — the
+   algorithm's own too — and a raise is not a recovery. *)
 let test_runner_cluster_typed_exceptions () =
   check_fork_available ();
+  let problem = Lcl.Zoo.trivial ~delta:2 in
+  let g = Graph.Builder.path 20 in
+  let before = Util.Cluster.recoveries () in
   let bad =
     Local.Algorithm.constant ~name:"bad-arity" ~radius:0 (fun _ ->
         [| 0; 0; 0; 0 |])
   in
-  let g = Graph.Builder.path 20 in
   check bool "arity error crosses the process boundary typed" true
-    (match
-       Local.Runner.run ~workers:4 ~problem:(Lcl.Zoo.trivial ~delta:2) bad g
-     with
+    (match Local.Runner.run ~workers:4 ~problem bad g with
     | exception Invalid_argument _ -> true
-    | _ -> false)
+    | _ -> false);
+  let boom =
+    Local.Algorithm.constant ~name:"boom" ~radius:0 (fun _ -> raise (Boom 7))
+  in
+  List.iter
+    (fun (workers, domains) ->
+      check bool
+        (Printf.sprintf "Boom 7 at workers=%d domains=%d" workers domains)
+        true
+        (match Local.Runner.run ~workers ~domains ~problem boom g with
+        | exception Boom 7 -> true
+        | _ -> false))
+    [ (1, 1); (3, 1); (3, 2) ];
+  check int "no recovery counted" before (Util.Cluster.recoveries ())
 
 let test_probe_cluster_typed_exceptions () =
   check_fork_available ();
@@ -918,12 +972,77 @@ let test_probe_cluster_typed_exceptions () =
     }
   in
   let g = Graph.Builder.cycle 24 in
-  check bool "budget overrun crosses the process boundary typed" true
-    (match
-       Volume.Probe.run ~workers:4 ~problem:(Lcl.Zoo.trivial ~delta:2) hungry g
-     with
-    | exception Volume.Probe.Budget_exceeded _ -> true
-    | _ -> false)
+  let before = Util.Cluster.recoveries () in
+  List.iter
+    (fun workers ->
+      check bool
+        (Printf.sprintf "budget overrun typed at workers=%d" workers)
+        true
+        (match
+           Volume.Probe.run ~workers ~problem:(Lcl.Zoo.trivial ~delta:2)
+             hungry g
+         with
+        | exception Volume.Probe.Budget_exceeded _ -> true
+        | _ -> false))
+    [ 3; 4 ];
+  check int "no recovery counted" before (Util.Cluster.recoveries ())
+
+(* The parent recomputes a killed worker's range on one domain, so it
+   can still fork afterwards. *)
+let test_runner_recovery_keeps_fork () =
+  check_fork_available ();
+  let g, pids = torus_setup () in
+  let problem = Grid.Problems.torus_coloring ~d:2 in
+  let algo = Grid.Algorithms.torus_coloring ~d:2 ~base:pids.Grid.Torus.base in
+  let run ~workers ~domains =
+    Local.Runner.run ~seed:5 ~ids:(`Fixed pids.Grid.Torus.packed) ~workers
+      ~domains ~problem algo g
+  in
+  let base = run ~workers:1 ~domains:1 in
+  Helpers.with_env Util.Cluster.kill_env_var "1" (fun () ->
+      let before = Util.Cluster.recoveries () in
+      let o = run ~workers:3 ~domains:2 in
+      check bool "labeling identical after a kill" true
+        (o.Local.Runner.labeling = base.Local.Runner.labeling);
+      check int "one recovery counted" (before + 1)
+        (Util.Cluster.recoveries ()));
+  check bool "the parent can still fork" true (Util.Cluster.can_fork ())
+
+(* Worker traces reach the parent: a sharded run records the query and
+   probe counts of a one-process run, plus one engine job and one chunk
+   span per worker. The second run starts from the first run's trace,
+   which a worker that did not drop its inherited copy would ship back
+   a second time. *)
+let test_probe_cluster_traces () =
+  check_fork_available ();
+  let g =
+    Lcl.Zoo_oriented.mark_orientation_inputs (Graph.Builder.oriented_cycle 60)
+  in
+  let problem = Lcl.Zoo_oriented.coloring ~k:3 in
+  let run workers () =
+    ignore
+      (Volume.Probe.run ~seed:9 ~workers ~domains:1 ~problem
+         Volume.Algorithms.cv_coloring g)
+  in
+  let (), ev1, one = Helpers.with_trace (run 1) in
+  let (), ev2, both =
+    Helpers.with_trace (fun () ->
+        run 1 ();
+        run 3 ())
+  in
+  List.iter
+    (fun name ->
+      check int name
+        (2 * Helpers.counter_value one name)
+        (Helpers.counter_value both name))
+    [ "volume.queries"; "volume.probes" ];
+  check bool "queries recorded" true
+    (Helpers.counter_value one "volume.queries" = Graph.n g);
+  check int "engine jobs" (Helpers.counter_value one "parallel.jobs" + 3)
+    (Helpers.counter_value both "parallel.jobs");
+  check int "chunk spans"
+    (Helpers.span_count ev1 "parallel.chunk" + 3)
+    (Helpers.span_count ev2 "parallel.chunk")
 
 let test_probe_matrix () =
   check_fork_available ();
@@ -931,10 +1050,12 @@ let test_probe_matrix () =
     Lcl.Zoo_oriented.mark_orientation_inputs (Graph.Builder.oriented_cycle 60)
   in
   let problem = Lcl.Zoo_oriented.coloring ~k:3 in
-  let run workers =
-    Volume.Probe.run ~seed:9 ~workers ~problem Volume.Algorithms.cv_coloring g
+  let run ?domains workers =
+    Volume.Probe.run ~seed:9 ?domains ~workers ~problem
+      Volume.Algorithms.cv_coloring g
   in
-  let base = run 1 in
+  (* one domain: a domain spawned here would stop every later fork *)
+  let base = run ~domains:1 1 in
   List.iter
     (fun w ->
       let o = run w in
@@ -950,15 +1071,16 @@ let test_resilient_matrix () =
   let problem = Lcl.Zoo.coloring ~k:3 ~delta:2 in
   let spec = Fault.Plan.spec ~crash:0.1 ~sever:0.05 () in
   let plan = Fault.Plan.generate ~label:"matrix" ~seed:3 ~spec g in
-  let run workers =
+  let run ?domains workers =
     match
-      Local.Runner.run_resilient ~seed:5 ~workers ~plan ~retries:1 ~problem
-        Local.Cole_vishkin.three_coloring g
+      Local.Runner.run_resilient ~seed:5 ?domains ~workers ~plan ~retries:1
+        ~problem Local.Cole_vishkin.three_coloring g
     with
     | Ok o -> o
     | Error e -> fail (Fault.Error.to_string e)
   in
-  let base = run 1 in
+  (* one domain: a domain spawned here would stop every later fork *)
+  let base = run ~domains:1 1 in
   List.iter
     (fun w ->
       let o = run w in
@@ -1021,6 +1143,8 @@ let suites =
         test_case "kill recovery" `Quick test_map_ranges_kill_recovery;
         test_case "stall recovery" `Quick test_map_ranges_stall_recovery;
         test_case "env default" `Quick test_map_ranges_env_default;
+        test_case "signal during drain" `Quick
+          test_map_ranges_signal_during_drain;
       ] );
     ( "cluster.backoff",
       [
@@ -1073,6 +1197,10 @@ let suites =
           test_runner_cluster_typed_exceptions;
         test_case "typed probe exceptions" `Quick
           test_probe_cluster_typed_exceptions;
+        test_case "fork survives a recovery" `Quick
+          test_runner_recovery_keeps_fork;
+        test_case "probe traces reach the parent" `Quick
+          test_probe_cluster_traces;
         test_case "probe matrix" `Quick test_probe_matrix;
         test_case "resilient matrix + chaos" `Quick test_resilient_matrix;
         test_case "in-parent domains, then fallback" `Quick
