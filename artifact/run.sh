@@ -13,8 +13,8 @@
 #   experiments.log        raw E1..E16 + Figure-1 + Bechamel output —
 #                          the source of every EXPERIMENTS.md row
 #   BENCH_SUBSTRATE.json   freshly measured bench points (same schema
-#   BENCH_OBS.json         as the recorded series at the repo root;
-#   BENCH_FAULT.json       timings move, booleans/gates must not)
+#   BENCH_FAULT.json       as the recorded series at the repo root;
+#                          timings move, booleans/gates must not)
 #   fuzz_a.jsonl ...       stable fuzz reports (byte-diffed here)
 #   injected-repros/       minimized repros from the negative control
 #
@@ -99,21 +99,20 @@ say "test suite"
 dune runtest
 
 # The full experiment sweep. bench/main.exe runs E14 (the forking
-# cluster section) first on its own, then everything else; the
-# million-node sections (E13, E14) dominate the wall time. The raw log
+# cluster section) first on its own, then everything else. The raw log
 # is the source of every EXPERIMENTS.md row; the machine-readable
 # {"bench":...} lines are split into per-series files matching the
-# recorded BENCH_*.json at the repo root.
+# recorded BENCH_*.json at the repo root (BENCH_OBS.json and the
+# "substrate" points of BENCH_SUBSTRATE.json are history: no section
+# prints them any more).
 say "experiments E1..E16 + Figure 1 + Bechamel (this takes a while)"
 dune exec bench/main.exe 2>&1 | tee "$OUT/experiments.log"
 
-grep -h '^{"bench":"substrate"\|^{"bench":"cluster"' "$OUT/experiments.log" \
+grep -h '^{"bench":"cluster"' "$OUT/experiments.log" \
   > "$OUT/BENCH_SUBSTRATE.json" || true
-grep -h '^{"bench":"obs-overhead"' "$OUT/experiments.log" \
-  > "$OUT/BENCH_OBS.json" || true
 grep -h '^{"bench":"fault-overhead"\|^{"bench":"serve-robustness"' \
   "$OUT/experiments.log" > "$OUT/BENCH_FAULT.json" || true
-say "bench points: $(cat "$OUT"/BENCH_*.json | wc -l) lines across 3 series"
+say "bench points: $(cat "$OUT"/BENCH_*.json | wc -l) lines across 2 series"
 
 fuzz_sweep 50
 classify_spot_check

@@ -733,10 +733,9 @@ let faultsim_cmd =
 
 (* -- bench-runner ------------------------------------------------------- *)
 
-(* Timed series over the simulation engine, one JSON object per line —
-   the machine-readable counterpart of bench/main.exe's runner-bound
-   sections, meant to be collected into BENCH_*.json files across
-   revisions. Each workload is measured sequentially (domains=1, no
+(* Timed series over the simulation engine, one JSON object per line,
+   for looking at the engine on one machine; no BENCH_*.json file
+   records them. Each workload is measured sequentially (domains=1, no
    memo: the seed path) and then on the configured engine; speedup is
    engine vs. sequential within the same invocation. *)
 

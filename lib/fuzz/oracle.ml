@@ -31,42 +31,46 @@ let view_hash_algo problem =
 (* The multi-domain leg must not poison the calling process: the OCaml
    5 runtime refuses [fork] forever after the first in-process domain
    spawn, and the fuzz loop needs forking for the cluster leg and the
-   serve daemon of every later case. So domains spawn in a child. *)
+   serve daemon of every later case. So domains spawn in a child — or,
+   when the fork is refused ([Failure] once a domain exists here
+   already), in this process. *)
 let in_subprocess f =
-  if not (Util.Cluster.can_fork ()) then f ()
-  else
-    let rd, wr = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.fork () with
-    | 0 ->
-      Unix.close rd;
-      let res =
-        match f () with
-        | v -> Ok v
-        | exception e -> Error (Printexc.to_string e)
-      in
-      (try Util.Framing.write_frame wr (Marshal.to_string res [])
-       with _ -> ());
-      (try Unix.close wr with Unix.Unix_error _ -> ());
-      Unix._exit 0
-    | pid ->
-      Unix.close wr;
-      let frame =
-        match Util.Framing.read_frame rd with
-        | f -> f
-        | exception Util.Framing.Corrupt _ -> None
-      in
-      Unix.close rd;
-      (try ignore (Unix.waitpid [] pid)
-       with Unix.Unix_error ((Unix.ECHILD | Unix.EINTR), _, _) -> ());
-      (match frame with
-      | Some s -> (
-        match (Marshal.from_string s 0 : ('a, string) result) with
-        | Ok v -> v
-        | Error m -> failwith ("fuzz subprocess: " ^ m))
-      | None ->
-        (* the child died without answering; recompute here — same
-           determinism, one recovery *)
-        f ())
+  let rd, wr = Unix.socketpair ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.fork () with
+  | exception (Unix.Unix_error _ | Failure _) ->
+    Unix.close rd;
+    Unix.close wr;
+    f ()
+  | 0 ->
+    Unix.close rd;
+    let res =
+      match f () with
+      | v -> Ok v
+      | exception e -> Error (Printexc.to_string e)
+    in
+    (try Util.Framing.write_frame wr (Marshal.to_string res [])
+     with _ -> ());
+    (try Unix.close wr with Unix.Unix_error _ -> ());
+    Unix._exit 0
+  | pid ->
+    Unix.close wr;
+    let frame =
+      match Util.Framing.read_frame rd with
+      | f -> f
+      | exception Util.Framing.Corrupt _ -> None
+    in
+    Unix.close rd;
+    (try ignore (Unix.waitpid [] pid)
+     with Unix.Unix_error ((Unix.ECHILD | Unix.EINTR), _, _) -> ());
+    (match frame with
+    | Some s -> (
+      match (Marshal.from_string s 0 : ('a, string) result) with
+      | Ok v -> v
+      | Error m -> failwith ("fuzz subprocess: " ^ m))
+    | None ->
+      (* the child died without answering; recompute here — same
+         determinism, one recovery *)
+      f ())
 
 (* -- observations --------------------------------------------------------- *)
 

@@ -39,8 +39,9 @@ val configs : string list
 val view_hash_algo : Lcl.Problem.t -> Local.Algorithm.t
 
 (** Run [f] in a forked subprocess and marshal its result back; runs
-    [f] in-process when forking is unavailable. Exceptions in the
-    child re-raise in the parent as [Failure]. *)
+    [f] in-process when the fork fails (the runtime refuses it once
+    this process has created a domain). Exceptions in the child
+    re-raise in the parent as [Failure]. *)
 val in_subprocess : (unit -> 'a) -> 'a
 
 type divergence = {

@@ -75,10 +75,10 @@ let violations problem g labeling =
 
 let is_valid problem g labeling = violations problem g labeling = []
 
-(** Nodes and edges "touched" by failures — the per-event failure
+(** Nodes and edges "touched" by [violations] — the per-event failure
     indicator used when estimating local failure probabilities
     empirically (Def. 2.4 bounds the probability per node/edge). *)
-let failure_events problem g labeling =
+let failure_events g violations =
   let node_fail = Array.make (Graph.n g) false in
   let edge_fail = Hashtbl.create 16 in
   List.iter
@@ -93,7 +93,7 @@ let failure_events problem g labeling =
       | Bad_edge (v, p) ->
         let u = Graph.neighbor g v p in
         Hashtbl.replace edge_fail (min v u, max v u) ())
-    (violations problem g labeling);
+    violations;
   (node_fail, edge_fail)
 
 (** Brute-force existence of *some* correct solution on a small graph

@@ -22,11 +22,12 @@ val violations :
 
 val is_valid : Problem.t -> Graph.t -> int array array -> bool
 
-(** Per-node and per-edge failure indicators of a labeling — the
-    empirical counterpart of Def. 2.4's local failure events. *)
+(** Per-node and per-edge failure indicators of a violation list (in
+    [g]'s coordinates) — the empirical counterpart of Def. 2.4's local
+    failure events. Each node and each edge fails at most once; a g
+    violation fails both its node and its edge. *)
 val failure_events :
-  Problem.t -> Graph.t -> int array array ->
-  bool array * ((int * int), unit) Hashtbl.t
+  Graph.t -> violation list -> bool array * ((int * int), unit) Hashtbl.t
 
 (** Brute-force search for any correct solution on a small graph
     (backtracking over half-edges, bounded by [limit] steps; [None]

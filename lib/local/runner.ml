@@ -49,8 +49,9 @@ type id_mode = [ `Random | `Sequential | `Fixed of int array ]
 (* Observability handles (see DESIGN.md, observability section).
    Everything is recorded as per-run aggregates after the parallel
    section — never per node — so the disabled path adds a handful of
-   gated atomic reads per *run*, which is what keeps bench E12's
-   <2% overhead budget trivially satisfiable. *)
+   gated atomic reads per *run* (the obs-trace-shape test "spans
+   independent of n" checks that a traced run records the same spans
+   at n and at 4n). *)
 let m_runs = Obs.Metrics.counter "runner.runs"
 let m_nodes = Obs.Metrics.counter "runner.nodes"
 let m_algo = Obs.Metrics.counter "runner.algo_invocations"
@@ -570,48 +571,38 @@ let empirical_local_failure ?(trials = 100) ?(seed = 7) ?domains ?workers
   let n = Graph.n g in
   let node_fails = Array.make n 0 in
   let edge_fails = Hashtbl.create 64 in
-  let count e =
-    Hashtbl.replace edge_fails e
-      (1 + Option.value (Hashtbl.find_opt edge_fails e) ~default:0)
-  in
-  (* Under a fault plan the Def. 2.4 events are restricted to the
-     healthy subgraph: [Errored] nodes and healthy-subgraph violations
-     count as failures, crashed nodes impose nothing. A plan the graph
-     rejects (F301) fails everywhere by convention. *)
-  let resilient_trial plan trial =
-    match
-      run_resilient ~seed:(seed + (trial * 7919)) ?domains ?workers ~plan
-        ?retries ~problem algo g
-    with
-    | Error _ ->
-      Array.iteri (fun v c -> node_fails.(v) <- c + 1) node_fails
-    | Ok o ->
-      let node_fail = Array.make n false in
-      Array.iteri
-        (fun v s -> match s with Fault.Errored _ -> node_fail.(v) <- true | _ -> ())
-        o.report.statuses;
-      List.iter
-        (fun viol ->
-          match viol with
-          | Lcl.Verify.Bad_node v -> node_fail.(v) <- true
-          | Lcl.Verify.Bad_edge (v, p) | Lcl.Verify.Bad_g (v, p) ->
-            let u = Graph.neighbor g v p in
-            count (min v u, max v u))
-        o.healthy_violations;
-      Array.iteri
-        (fun v f -> if f then node_fails.(v) <- node_fails.(v) + 1)
-        node_fail
+  (* One rule for the events of a trial, with or without a plan:
+     [Lcl.Verify.failure_events] over its violations, plus the nodes
+     the plan run recorded as [Errored]. Under a plan the violations
+     are those of the healthy subgraph, so crashed nodes impose
+     nothing. *)
+  let tally ?(errored = fun _ -> false) violations =
+    let node_fail, edge_fail = Lcl.Verify.failure_events g violations in
+    Array.iteri
+      (fun v f -> if f || errored v then node_fails.(v) <- node_fails.(v) + 1)
+      node_fail;
+    Hashtbl.iter
+      (fun e () ->
+        Hashtbl.replace edge_fails e
+          (1 + Option.value (Hashtbl.find_opt edge_fails e) ~default:0))
+      edge_fail
   in
   for trial = 0 to trials - 1 do
+    let seed = seed + (trial * 7919) in
     match plan with
-    | Some p -> resilient_trial p trial
-    | None ->
-      let o =
-        run ~seed:(seed + (trial * 7919)) ?domains ?workers ~problem algo g
-      in
-      let node_fail, edge_fail = Lcl.Verify.failure_events problem g o.labeling in
-      Array.iteri (fun v f -> if f then node_fails.(v) <- node_fails.(v) + 1) node_fail;
-      Hashtbl.iter (fun e () -> count e) edge_fail
+    | None -> tally (run ~seed ?domains ?workers ~problem algo g).violations
+    | Some plan -> (
+      match
+        run_resilient ~seed ?domains ?workers ~plan ?retries ~problem algo g
+      with
+      (* a plan the graph rejects (F301) fails everywhere by convention *)
+      | Error _ -> Array.iteri (fun v c -> node_fails.(v) <- c + 1) node_fails
+      | Ok o ->
+        let statuses = o.report.statuses in
+        tally
+          ~errored:(fun v ->
+            match statuses.(v) with Fault.Errored _ -> true | _ -> false)
+          o.healthy_violations)
   done;
   let worst = ref 0 in
   Array.iter (fun c -> worst := max !worst c) node_fails;

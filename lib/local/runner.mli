@@ -127,11 +127,14 @@ val succeeds :
 
 (** Empirical *local* failure probability (Def. 2.4): over [trials]
     runs with fresh randomness, the maximum per-node/per-edge failure
-    frequency. Handles every edge key the verifier can report,
-    including self-loops. Under [?plan] the events are restricted to
-    the healthy subgraph — [Errored] nodes and surviving-subgraph
-    violations count, crashed nodes impose nothing — so the result
-    reports degradation instead of crashing. *)
+    frequency, so never above 1: a trial fails each node and each edge
+    at most once ([Lcl.Verify.failure_events]). Handles every edge key
+    the verifier can report, including self-loops. Under [?plan] the
+    events are restricted to the healthy subgraph — [Errored] nodes
+    and surviving-subgraph violations count, crashed nodes impose
+    nothing — so the result reports degradation instead of crashing;
+    for an algorithm that does not raise, the empty plan gives the
+    plan-free result. *)
 val empirical_local_failure :
   ?trials:int -> ?seed:int -> ?domains:int -> ?workers:int ->
   ?plan:Fault.Plan.t -> ?retries:int ->

@@ -1,8 +1,8 @@
 (* The on/off switch every instrumentation site consults first. One
    [Atomic.get] plus a branch: cheap enough to leave in the hot paths
    of the simulators, which is the whole point — the disabled path
-   must be a no-op (bench E12 gates it at <2% on the engine-bound
-   torus workload).
+   must be a no-op (the obs-span and obs-metrics "disabled no-op"
+   tests require 100 000 disabled calls to allocate nothing).
 
    [LCL_OBS=1] in the environment turns observability on at startup
    (the CI instrumented-suite run uses it); [enable]/[disable] toggle

@@ -5,8 +5,8 @@
 
    Everything is gated on one switch: [enabled]/[enable]/[disable],
    seeded from [LCL_OBS] at startup. Instrumented hot paths pay one
-   atomic read and a branch when the switch is off — bench E12 holds
-   the engine-bound torus workload to <2% disabled-path overhead.
+   atomic read and a branch when the switch is off, and allocate
+   nothing (the test suite counts the words).
 
    The simulators carry the instrumentation: [Util.Parallel] (chunk
    spans and utilization), [Local.Runner] (simulate/verify spans,

@@ -54,15 +54,17 @@ let reap pid =
   in
   go ()
 
-(* The OCaml 5 runtime refuses [Unix.fork] in a process that has EVER
-   created a domain (even joined ones): multi-process and in-process
-   multi-domain execution compose only child-side — fork first, spawn
-   domains inside the workers. [can_fork] feature-detects with a probe
-   fork, because the runtime exposes no "domains were created" query;
-   [map_ranges] computes every range in the parent when forking is
-   unavailable, so a mixed workload (e.g. a test suite that ran the
-   domain engine before the cluster engages) degrades to the
-   bit-identical single-process result instead of failing. *)
+(* The OCaml 5 runtime refuses [Unix.fork], with [Failure], in a
+   process that has EVER created a domain (even joined ones):
+   multi-process and in-process multi-domain execution compose only
+   child-side — fork first, spawn domains inside the workers.
+   [map_ranges] does not ask first: a refused fork leaves its rank
+   [Missing], computed in the parent, so a mixed workload (e.g. a test
+   suite that ran the domain engine before the cluster engages)
+   degrades to the bit-identical single-process result instead of
+   failing. [can_fork] answers the question for callers that report
+   it (the daemon's health answer) with a probe fork, because the
+   runtime exposes no "domains were created" query. *)
 let can_fork () =
   Sys.unix
   &&
@@ -186,7 +188,8 @@ let run_child ~rank ~lo ~hi wr f =
    frame. Each rank's drain is bounded by the default timeout,
    measured from when its turn starts (all ranks compute concurrently,
    so a healthy later rank has typically already answered); a rank
-   that exceeds it is SIGKILLed. A rank that could not be forked is
+   that exceeds it is SIGKILLed. A rank that could not be forked —
+   the runtime refused, or the system is out of processes — is
    [Missing]. *)
 let run_workers ~n ~workers f =
   let spawn rank =
@@ -199,7 +202,7 @@ let run_workers ~n ~workers f =
     | pid ->
       Unix.close wr;
       Some (pid, rd)
-    | exception Unix.Unix_error _ ->
+    | exception (Unix.Unix_error _ | Failure _) ->
       Unix.close rd;
       Unix.close wr;
       None
@@ -232,10 +235,7 @@ let map_ranges ?workers ?recover ~n f =
   if w <= 1 then [| f 0 n |]
   else begin
     let recover = Option.value recover ~default:f in
-    let answers =
-      if can_fork () then run_workers ~n ~workers:w f
-      else Array.make w Missing
-    in
+    let answers = run_workers ~n ~workers:w f in
     let recompute rank =
       let lo, hi = block_bounds ~n ~workers:w rank in
       recover lo hi

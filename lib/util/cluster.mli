@@ -12,7 +12,7 @@
     the spans and metrics the worker recorded.
 
     One rule covers every range a worker does not deliver — the worker
-    was killed, timed out or raised, or was never forked: the parent
+    was killed, timed out or raised, or could not be forked: the parent
     computes it itself, so the merged result is unchanged (the
     property the kill-worker chaos CI job pins down) and an exception
     is the one a single-process run raises. *)
@@ -41,7 +41,7 @@ val default_timeout : unit -> float option
 (** Ranges recomputed in-process after their worker died or timed out,
     since process start. Sample before/after a computation to learn
     whether it took the degraded path. A range recomputed because its
-    worker raised, or because nothing was forked, does not count. *)
+    worker raised, or because its fork failed, does not count. *)
 val recoveries : unit -> int
 
 (** [LCL_WORKERS], else 1. Values below 1 or unparsable fall back
@@ -59,7 +59,8 @@ val block_bounds : n:int -> workers:int -> int -> int * int
     runtime refuses [Unix.fork] in a process that has ever created a
     domain (even a joined one), so multi-process and multi-domain
     execution compose child-side only: fork first, spawn domains
-    inside the workers. Feature-detected with a probe fork. *)
+    inside the workers. Feature-detected with a probe fork, so it
+    costs one child process; [map_ranges] does not call it. *)
 val can_fork : unit -> bool
 
 (** [map_ranges ?workers ~n f] evaluates [f lo hi] for each of the
@@ -77,8 +78,9 @@ val can_fork : unit -> bool
     [recover lo hi] (default [f]), in rank order, after every worker
     has been reaped: its worker died, tore its frame or outlived the
     {!default_timeout} (it is then SIGKILLed), its [f] raised, its
-    result would not [Marshal] (closures, custom blocks), or it was
-    never forked because {!can_fork} is false. [recover] must not
+    result would not [Marshal] (closures, custom blocks), or its fork
+    failed — the runtime refuses [fork] once this process has created
+    a domain, and no probe fork is made first. [recover] must not
     spawn a domain — that would stop this process from forking for
     good — so pass a one-domain [recover] when [f] runs the domain
     engine. Whatever [recover] raises propagates, lowest rank first.

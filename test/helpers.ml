@@ -43,6 +43,36 @@ let contains ~sub s =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
+(* -- allocation counting ------------------------------------------------ *)
+
+(** Words the calling domain allocates during [f ()], with
+    observability off for the call and its prior state restored
+    afterwards. Counted with [Gc.allocated_bytes], not
+    [Gc.minor_words]: a large array is allocated straight in the major
+    heap, where the minor counter would miss it. The minor heap is
+    emptied at both ends of the window, because [Gc.counters], which
+    [Gc.allocated_bytes] reads, counts the words of a partly filled
+    minor heap inexactly (on OCaml 5.1 an unflushed window over a
+    350 000-word run read 100 000 words off). So the count is a pure
+    function of the code path, and a bound on it is a deterministic
+    check of what a mode costs when it is off. *)
+let allocated_words f =
+  let was_on = Obs.enabled () in
+  Obs.disable ();
+  Fun.protect
+    ~finally:(fun () -> if was_on then Obs.enable ())
+    (fun () ->
+      Gc.minor ();
+      let before = Gc.allocated_bytes () in
+      ignore (Sys.opaque_identity (f ()));
+      Gc.minor ();
+      let after = Gc.allocated_bytes () in
+      int_of_float ((after -. before) /. float_of_int (Sys.word_size / 8)))
+
+(** What [allocated_words] may report for an [f] that allocates
+    nothing: the measurement's own boxed counters, with slack. *)
+let measure_words = 32
+
 (* -- trace-driven test harness ------------------------------------------ *)
 
 (** Run [f] inside a fresh trace with observability on (restoring the

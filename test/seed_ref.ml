@@ -75,6 +75,23 @@ let of_edges ?(self_loops = false) ~n ~delta edges =
     edge_tag = Array.init n (fun v -> Array.make deg.(v) (-1));
   }
 
+(* Mirror a CSR-built graph port for port — the seed and CSR builders
+   assign identical ports from an edge list, so copying through the
+   accessors loses nothing. For graphs that come from a CSR-only
+   builder such as [Grid.Torus.make]. *)
+let of_graph h =
+  let n = Graph.n h in
+  let per_port f =
+    Array.init n (fun v -> Array.init (Graph.degree h v) (fun p -> f v p))
+  in
+  {
+    n;
+    delta = Graph.delta h;
+    adj = per_port (fun v p -> (Graph.neighbor h v p, Graph.neighbor_port h v p));
+    input = per_port (Graph.input h);
+    edge_tag = per_port (Graph.edge_tag h);
+  }
+
 let edges t =
   let out = ref [] in
   for v = 0 to t.n - 1 do
@@ -205,13 +222,15 @@ type run_result = {
 
 (* Sequential replica of [Local.Runner.run]'s simulate phase on the
    seed representation: identical seed → rng → ids → rand derivation
-   (`Random mode), identical radius resolution, Marshal-keyed memo.
-   No verification, no parallelism — the differential compares
-   labelings and cache semantics, nothing else. *)
-let run ?(seed = 0xC0FFEE) ?(memo = false) ~algo:(a : Local.Algorithm.t) t =
+   (`Random mode, or `Fixed when [ids] is given), identical radius
+   resolution, Marshal-keyed memo. No verification, no parallelism —
+   the differential compares labelings and cache semantics, nothing
+   else. *)
+let run ?(seed = 0xC0FFEE) ?ids ?(memo = false) ~algo:(a : Local.Algorithm.t)
+    t =
   let n = t.n in
   let rng = Util.Prng.create ~seed in
-  let ids = Graph.Ids.random rng n in
+  let ids = match ids with Some ids -> ids | None -> Graph.Ids.random rng n in
   let rand = Array.init n (fun _ -> Util.Prng.next_int64 rng) in
   let radius = a.Local.Algorithm.radius ~n in
   let table = Hashtbl.create 64 in

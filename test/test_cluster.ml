@@ -680,6 +680,39 @@ let test_serve_deadline_engine () =
       | [ (Serve.Protocol.Answer "pong", _) ] -> ()
       | _ -> fail "expected a pong within budget")
 
+(* What deadlines cost when none expires: a warm batch of 50 identical
+   requests under a 120 s budget each answers what the unbudgeted
+   batch answers, and allocates 12 words more per request — the boxed
+   remaining budget and its option (2 + 2) and the two closures of the
+   cluster-timeout clamp (4 + 4). The bound allows one word more per
+   request, less than the smallest heap block (2 words), so one more
+   allocation per request breaks it. Counted, not timed: the batch is
+   a few hash lookups, far too short for a wall-clock comparison to
+   mean anything. *)
+let test_serve_budget_allocation () =
+  with_cache (fun cache ->
+      let requests = 50 and per_request = 13 in
+      let req = Serve.Protocol.Classify { problem = "3-coloring" } in
+      let batch budget () =
+        Serve.Engine.answer_batch ~workers:1 ~cache
+          (List.init requests (fun _ -> (req, budget)))
+      in
+      (* the cold batch computes and persists the answer; both
+         measured batches are then warm *)
+      ignore (batch None ());
+      check bool "budgets change no answer" true
+        (batch None () = batch (Some 120_000) ());
+      let extra =
+        Helpers.allocated_words (batch (Some 120_000))
+        - Helpers.allocated_words (batch None)
+      in
+      check bool
+        (Printf.sprintf "%d budgeted requests: %d words over unbudgeted, \
+                         bound %d per request"
+           requests extra per_request)
+        true
+        (extra <= (requests * per_request) + Helpers.measure_words))
+
 let test_serve_degraded_engine () =
   check_fork_available ();
   let req = Serve.Protocol.Simulate { algo = "cv-coloring"; n = 60; seed = 3 } in
@@ -1187,6 +1220,8 @@ let suites =
         test_case "forked daemon bind failure" `Quick
           test_forked_daemon_bind_failure;
         test_case "client retry give-up" `Quick test_client_retry_give_up;
+        test_case "budgets allocate per request" `Quick
+          test_serve_budget_allocation;
       ] );
     ( "cluster.runner",
       [

@@ -137,6 +137,44 @@ let test_empty_plan_matches_plain_run () =
         (List.length o.Local.Runner.healthy_violations))
     [ 1; 3 ]
 
+(* What the record policy costs when no fault is planned: an
+   empty-plan [run_resilient] of the torus echo allocates at most 4n
+   words more than [run] — the copied ids, the copied randomness, the
+   status array and the crash table — plus a constant. Allocation is
+   counted rather than timed, so the bound is the same on every host;
+   a per-node cost on the record path (one small tuple per node is
+   4n words) breaks it at either size. *)
+let test_empty_plan_allocation () =
+  let slack = 300 in
+  List.iter
+    (fun side ->
+      let torus =
+        Grid.Problems.mark_tag_inputs (Grid.Torus.make [| side; side |])
+      in
+      let g = Grid.Torus.graph torus in
+      let n = Graph.n g in
+      let ids = `Fixed (Grid.Torus.prod_ids torus).Grid.Torus.packed in
+      let problem = Grid.Problems.dimension_echo ~d:2 in
+      let algo = Grid.Algorithms.dimension_echo in
+      let plain () =
+        Local.Runner.run ~ids ~domains:1 ~workers:1 ~problem algo g
+      in
+      let resilient () =
+        Local.Runner.run_resilient ~ids ~domains:1 ~workers:1
+          ~plan:Fault.Plan.empty ~problem algo g
+      in
+      (* warm the per-domain view pool both paths reuse *)
+      ignore (plain ());
+      ignore (resilient ());
+      let extra =
+        Helpers.allocated_words resilient - Helpers.allocated_words plain
+      in
+      check bool
+        (Printf.sprintf "n=%d: %d words over run, bound 4n + %d" n extra slack)
+        true
+        (extra <= (4 * n) + slack))
+    [ 24; 48 ]
+
 let test_all_crashed () =
   let g = Graph.Builder.cycle 10 in
   let plan = Fault.Plan.make ~crashed:(Array.init 10 Fun.id) () in
@@ -275,7 +313,30 @@ let test_empirical_failure_under_plan () =
     Local.Runner.empirical_local_failure ~trials:10 ~plan
       ~problem:mis_problem Local.Mis.algorithm g
   in
-  check bool "degradation reported in [0,1]" true (p >= 0. && p <= 1.)
+  check bool "degradation reported in [0,1]" true (p >= 0. && p <= 1.);
+  (* one rule with and without a plan: an output that breaks g at every
+     half-edge fails each node and each edge once per trial — never an
+     edge once per violation *)
+  let problem =
+    Lcl.Parse.of_string
+      "problem g-only delta 2\n\
+       in: a\n\
+       out: c0 c1\n\
+       node 1: c0 | c1\n\
+       node 2: c0 c0 | c0 c1 | c1 c1\n\
+       edge: c0 c1 | c1 c1\n\
+       g a: c1\n"
+  in
+  let zero =
+    Local.Algorithm.constant ~name:"zero" ~radius:0 (fun ball ->
+        Array.make ball.Graph.Ball.degree.(0) 0)
+  in
+  let g = Graph.Builder.cycle 12 in
+  let failure plan =
+    Local.Runner.empirical_local_failure ~trials:4 ?plan ~problem zero g
+  in
+  check (Alcotest.float 0.) "no plan" 1.0 (failure None);
+  check (Alcotest.float 0.) "empty plan" 1.0 (failure (Some Fault.Plan.empty))
 
 (* -- resilient VOLUME runs --------------------------------------------- *)
 
@@ -519,6 +580,8 @@ let suites =
           test_retries_fix_randomness_sensitive_failures;
         Alcotest.test_case "empirical under plan" `Quick
           test_empirical_failure_under_plan;
+        Alcotest.test_case "empty plan allocation" `Quick
+          test_empty_plan_allocation;
       ] );
     ( "fault.volume",
       [

@@ -376,7 +376,9 @@ let test_failure_events () =
   let g = Graph.Builder.path 3 in
   (* 0-1-2 colored 0,0,1: edge (0,1) fails, nodes fine *)
   let l = [| [| 0 |]; [| 0; 0 |]; [| 1 |] |] in
-  let node_fail, edge_fail = Lcl.Verify.failure_events p g l in
+  let node_fail, edge_fail =
+    Lcl.Verify.failure_events g (Lcl.Verify.violations p g l)
+  in
   Alcotest.(check bool) "no node failures" true
     (Array.for_all not node_fail);
   Alcotest.(check int) "one failed edge" 1 (Hashtbl.length edge_fail);

@@ -50,13 +50,28 @@ let test_span_timestamps_ordered () =
       check bool "stop >= start" true Obs.Span.(e.t_stop >= e.t_start))
     events
 
+(* How many disabled calls the allocation checks make: enough that a
+   single word per call would dwarf the constant cost of measuring. *)
+let calls = 100_000
+
 let test_span_disabled_noop () =
   let was_on = Obs.enabled () in
   Obs.disable ();
   Obs.reset ();
   Obs.Span.with_ "invisible" (fun () -> ());
   check int "nothing recorded" 0 (Obs.Span.total_recorded ());
-  if was_on then Obs.enable ()
+  if was_on then Obs.enable ();
+  let words =
+    Helpers.allocated_words (fun () ->
+        for _ = 1 to calls do
+          Obs.Span.with_ "invisible" (fun () -> ())
+        done)
+  in
+  check bool
+    (Printf.sprintf "%d disabled spans allocate a constant (%d words)" calls
+       words)
+    true
+    (words <= Helpers.measure_words)
 
 let test_ring_wraparound () =
   let (), events, _ =
@@ -168,7 +183,22 @@ let test_metrics_disabled_noop () =
   (match Obs.Metrics.find "test.disabled" with
   | Some v -> check bool "still zero" true (Obs.Metrics.is_zero v)
   | None -> Alcotest.fail "registered metric must be findable");
-  if was_on then Obs.enable ()
+  if was_on then Obs.enable ();
+  let h = Obs.Metrics.histogram "test.disabled.histogram" in
+  let words =
+    Helpers.allocated_words (fun () ->
+        for i = 1 to calls do
+          Obs.Metrics.incr c;
+          Obs.Metrics.add c i;
+          Obs.Metrics.observe h i
+        done)
+  in
+  check bool
+    (Printf.sprintf "%d disabled incr/add/observe rounds allocate a constant \
+                     (%d words)"
+       calls words)
+    true
+    (words <= Helpers.measure_words)
 
 let test_kind_mismatch () =
   ignore (Obs.Metrics.counter "test.kind");
@@ -294,6 +324,38 @@ let test_resilient_empty_plan_shape () =
 let pipeline_run () =
   Relim.Pipeline.run ~max_iterations:2 ~max_labels:60
     (Lcl.Zoo.coloring ~k:3 ~delta:2)
+
+(* Instrumentation runs once per run, never per node: a traced run
+   records the same spans at n and at 4n, for the LOCAL runner (torus
+   echo, side 8 and 16) and for the VOLUME probe engine (cycle 30 and
+   120). *)
+let test_spans_independent_of_n () =
+  let span_names run =
+    let _, events, _ = with_trace run in
+    List.sort compare (List.map (fun e -> e.Obs.Span.name) events)
+  in
+  let torus side () =
+    let torus =
+      Grid.Problems.mark_tag_inputs (Grid.Torus.make [| side; side |])
+    in
+    ignore
+      (Local.Runner.run
+         ~ids:(`Fixed (Grid.Torus.prod_ids torus).Grid.Torus.packed)
+         ~domains:1 ~workers:1
+         ~problem:(Grid.Problems.dimension_echo ~d:2)
+         Grid.Algorithms.dimension_echo (Grid.Torus.graph torus))
+  in
+  let cycle n () =
+    ignore
+      (Volume.Probe.run ~domains:1 ~workers:1
+         ~problem:(Lcl.Zoo.free_choice ~delta:2)
+         (Volume.Algorithms.constant_choice ~name:"const" 0)
+         (Graph.Builder.cycle n))
+  in
+  check (Alcotest.list string) "Runner.run spans at n and 4n"
+    (span_names (torus 8)) (span_names (torus 16));
+  check (Alcotest.list string) "Probe.run spans at n and 4n"
+    (span_names (cycle 30)) (span_names (cycle 120))
 
 let test_pipeline_iteration_spans () =
   let r, events, metrics = with_trace (fun () -> pipeline_run ()) in
@@ -495,6 +557,8 @@ let suites =
         Alcotest.test_case "fault compile counters" `Quick
           test_fault_compile_counters;
         Alcotest.test_case "classify counters" `Quick test_classify_counters;
+        Alcotest.test_case "spans independent of n" `Quick
+          test_spans_independent_of_n;
       ] );
     Helpers.qsuite "obs-properties"
       [ prop_exporters_agree; prop_metrics_domain_independent ];

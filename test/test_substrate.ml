@@ -269,6 +269,34 @@ let torus_case dims () =
   check bool "labelings identical across engines" true
     (a.Local.Runner.labeling = b.Local.Runner.labeling)
 
+(* The memoized dimension echo on a tagged torus under product ids —
+   the path every memoized grid experiment funnels through — against
+   the seed runner: identical labelings at domains 1 and 4, and the
+   seed's memo semantics. Hits are compared on one domain only: at 4,
+   two domains may both miss a view before either inserts it. *)
+let test_torus_echo_memo_vs_seed () =
+  let torus = Grid.Problems.mark_tag_inputs (Grid.Torus.make [| 16; 16 |]) in
+  let g = Grid.Torus.graph torus in
+  let ids = (Grid.Torus.prod_ids torus).Grid.Torus.packed in
+  let algo = Grid.Algorithms.dimension_echo in
+  let want = Seed_ref.run ~ids ~memo:true ~algo (Seed_ref.of_graph g) in
+  let run domains =
+    Local.Runner.run ~ids:(`Fixed ids) ~domains ~workers:1 ~memo:true
+      ~problem:(Grid.Problems.dimension_echo ~d:2) algo g
+  in
+  let one = run 1 and four = run 4 in
+  check int "no violations" 0 (List.length one.Local.Runner.violations);
+  check bool "seed hits some views" true (want.Seed_ref.hits > 0);
+  List.iter
+    (fun (label, (o : Local.Runner.outcome)) ->
+      check bool (label ^ ": labels = seed") true
+        (o.Local.Runner.labeling = want.Seed_ref.labels);
+      check int (label ^ ": distinct views = seed") want.Seed_ref.distinct
+        o.Local.Runner.stats.Local.Runner.distinct_views)
+    [ ("domains 1", one); ("domains 4", four) ];
+  check int "domains 1: hits = seed" want.Seed_ref.hits
+    one.Local.Runner.stats.Local.Runner.cache_hits
+
 let suites =
   [
     ( "substrate.torus",
@@ -277,6 +305,8 @@ let suites =
         test_case "torus [5,1]" `Quick (torus_case [| 5; 1 |]);
         test_case "torus [1,3,3]" `Quick (torus_case [| 1; 3; 3 |]);
         test_case "torus [3,4]" `Quick (torus_case [| 3; 4 |]);
+        test_case "memoized echo = seed runner" `Quick
+          test_torus_echo_memo_vs_seed;
       ] );
     Helpers.qsuite "substrate.diff"
       [
